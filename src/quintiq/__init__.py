@@ -16,27 +16,24 @@ from .adaptive import (
     SearchStrategy,
     integrate_adaptive,
     integrate_adaptive_cubic,
-    stopping_gap,
 )
 from .composite import (
     CUBIC_PAIR,
     QUINTIC_PAIR,
     CompositePair,
-    M6Estimate,
     apriori_bound,
     composite_pair,
     composite_rule,
-    estimate_m6,
     min_n_for_bound,
     partition_points,
 )
 from .convexity import (
     ConvexityReport,
-    DividedDifferenceTable,
+    M6Estimate,
     Verdict,
     check_n_convexity,
     divided_difference,
-    divided_difference_table,
+    estimate_m6,
     sixth_derivative_sign,
 )
 from .experiments import SKIP_MARKER, ExperimentRow, experiment1, experiment2
@@ -78,7 +75,6 @@ __all__ = [
     "CompositePair",
     "ConvexityReport",
     "CUBIC_PAIR",
-    "DividedDifferenceTable",
     "DomainError",
     "DOUBLE",
     "DOUBLE_DOUBLE",
@@ -109,7 +105,6 @@ __all__ = [
     "composite_rule",
     "differentiate",
     "divided_difference",
-    "divided_difference_table",
     "estimate_m6",
     "evaluate",
     "experiment1",
@@ -123,6 +118,5 @@ __all__ = [
     "partition_points",
     "rule_table",
     "sixth_derivative_sign",
-    "stopping_gap",
     "to_text",
 ]

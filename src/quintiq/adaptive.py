@@ -180,9 +180,3 @@ def integrate_adaptive_cubic(
     """Chebyshev/Simpson analogue of ``integrate_adaptive`` for 3-convex or
     3-concave integrands: stops on |S_n - C_n| <= 4 eps, returns (3C+S)/4."""
     return _run(f, iv, eps, strategy, n_max, ctx, CUBIC_PAIR, Method.CUBIC)
-
-
-def stopping_gap(f: Integrand, iv: Interval, n: int, ctx=DOUBLE):
-    """|L_n - G_n| for the Gauss/Lobatto pair at a fixed n."""
-    p = composite_pair(f, iv, n, ctx)
-    return abs(p.l_n - p.g_n)

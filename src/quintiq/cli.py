@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import expr as expr_mod
 from .adaptive import (
@@ -31,44 +30,14 @@ from .adaptive import (
 )
 from .convexity import ConvexityReport, check_n_convexity, sixth_derivative_sign
 from .experiments import SKIP_MARKER, ExperimentRow, experiment1, experiment2
-from .expr import DomainError, ExprSyntaxError, NotDifferentiable
+from .expr import ExprSyntaxError, NotDifferentiable
 from .rules import IntegrandError, Interval
 from .scalars import parse_precision
-
-_STRATEGIES = {
-    "linear": SearchStrategy.LINEAR_MINIMAL,
-    "doubling": SearchStrategy.DOUBLING_BISECT,
-}
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
 EXIT_DOMAIN_ERROR = 2
 EXIT_BUDGET_EXCEEDED = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    fn_text: str | None
-    a: str | None
-    b: str | None
-    eps: str | None
-    method: str
-    strategy: str
-    precision: str
-    output: str
-    n_max: int
-
-    def as_dict(self) -> dict:
-        d = {"command": self.command}
-        if self.fn_text is not None:
-            d.update(fn=self.fn_text, a=self.a, b=self.b)
-        if self.eps is not None:
-            d["eps"] = self.eps
-        if self.command == "integrate":
-            d.update(method=self.method, strategy=self.strategy, n_max=self.n_max)
-        d.update(precision=self.precision, output=self.output)
-        return d
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,26 +99,31 @@ def _parse_interval(ctx, a_text: str, b_text: str) -> Interval:
     try:
         a = ctx.const(a_text)
         b = ctx.const(b_text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"invalid interval endpoint: {exc}") from exc
     return Interval(a, b)
 
 
-def _decimal(ctx, x) -> str:
-    return ctx.to_decimal(x)
+def _config(args, precision: str) -> dict:
+    """The request's settings as echoed in the JSON ``config`` block."""
+    config = {"command": args.command, "fn": args.fn, "a": args.a, "b": args.b}
+    if args.command == "integrate":
+        config.update(eps=args.eps, method=args.method, strategy=args.strategy, n_max=args.n_max)
+    config.update(precision=precision, output=args.output)
+    return config
 
 
-def _result_payload(result: AdaptiveResult, ctx, precision: str, config: RunConfig) -> dict:
+def _result_payload(result: AdaptiveResult, ctx, precision: str, args) -> dict:
     return {
         "method": result.method.value,
-        "value": _decimal(ctx, result.value),
+        "value": ctx.to_decimal(result.value),
         "n_final": result.n_final,
-        "gap_final": _decimal(ctx, result.gap_final),
-        "epsilon": config.eps,
+        "gap_final": ctx.to_decimal(result.gap_final),
+        "epsilon": args.eps,
         "evaluations": result.evaluations,
-        "history": [[n, _decimal(ctx, gap)] for n, gap in result.history],
+        "history": [[n, ctx.to_decimal(gap)] for n, gap in result.history],
         "precision": precision,
-        "config": config.as_dict(),
+        "config": _config(args, precision),
     }
 
 
@@ -167,17 +141,13 @@ def _report_payload(report: ConvexityReport) -> dict:
 
 def _cmd_integrate(args) -> int:
     ctx, precision = _resolve_precision(args.precision, "integrate")
-    config = RunConfig(
-        "integrate", args.fn, args.a, args.b, args.eps,
-        args.method, args.strategy, precision, args.output, args.n_max,
-    )
     tree = expr_mod.parse(args.fn)
     iv = _parse_interval(ctx, args.a, args.b)
     f = expr_mod.as_integrand(tree, ctx)
     runner = integrate_adaptive if args.method == "quintic" else integrate_adaptive_cubic
-    result = runner(f, iv, args.eps, _STRATEGIES[args.strategy], args.n_max, ctx)
+    result = runner(f, iv, args.eps, SearchStrategy(args.strategy), args.n_max, ctx)
 
-    payload = _result_payload(result, ctx, precision, config)
+    payload = _result_payload(result, ctx, precision, args)
     if args.verify_convexity:
         order = 5 if args.method == "quintic" else 3
         report = check_n_convexity(f, iv, order, samples=200, seed=1, ctx=ctx)
@@ -215,9 +185,6 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_check(args) -> int:
     ctx, precision = _resolve_precision(args.precision, "check")
-    config = RunConfig(
-        "check", args.fn, args.a, args.b, None, "quintic", "linear", precision, args.output, 0
-    )
     tree = expr_mod.parse(args.fn)
     iv = _parse_interval(ctx, args.a, args.b)
     f = expr_mod.as_integrand(tree, ctx)
@@ -234,7 +201,7 @@ def _cmd_check(args) -> int:
         "sampled": _report_payload(sampled),
         "sixth_derivative": _report_payload(derivative) if derivative else None,
         "precision": precision,
-        "config": config.as_dict(),
+        "config": _config(args, precision),
     }
     if derivative_note:
         payload["sixth_derivative_note"] = derivative_note
@@ -331,10 +298,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET_EXCEEDED
-    except (DomainError, IntegrandError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
-    except (ValueError, NotDifferentiable) as exc:
+    except (ArithmeticError, IntegrandError, ValueError, NotDifferentiable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
 

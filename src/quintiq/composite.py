@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import expr as expr_mod
 from .rules import (
     Integrand,
     Interval,
@@ -156,33 +155,3 @@ def min_n_for_bound(rule_id: RuleId, iv: Interval, m6, eps, ctx=DOUBLE) -> int:
     while apriori_bound(rule_id, iv, n, m6, ctx) > eps_s:
         n += 1
     return n
-
-
-@dataclass(frozen=True)
-class M6Estimate:
-    """Sampled estimate of the sixth derivative's sup-norm.
-
-    Heuristic by construction: a finite grid can miss the maximum, so this
-    must not be fed into correctness-critical bounds without a margin.
-    """
-
-    value: float
-    sample_points: int
-    heuristic: bool = True
-
-
-def estimate_m6(f_expr, iv: Interval, ctx=DOUBLE, sample_points: int = 1025) -> M6Estimate:
-    """Estimate sup |f''''''| by sampling the symbolic sixth derivative."""
-    d6 = f_expr
-    for _ in range(6):
-        d6 = expr_mod.differentiate(d6)
-    a, b = ctx.const(iv.a), ctx.const(iv.b)
-    width = b - a
-    steps = sample_points - 1
-    best = 0.0
-    for i in range(sample_points):
-        x = a if i == 0 else (b if i == steps else a + (i * width) / steps)
-        v = abs(float(expr_mod.evaluate(d6, x, ctx)))
-        if v > best:
-            best = v
-    return M6Estimate(best, sample_points)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import expr as expr_mod
+from .composite import partition_points
 from .rules import Integrand, Interval, call_integrand
 from .scalars import DOUBLE
 
@@ -28,24 +29,8 @@ class Verdict(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class DividedDifferenceTable:
-    """Triangular table; row j holds all order-j divided differences."""
-
-    points: tuple
-    values: tuple
-    rows: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.points) - 1
-
-    def top(self):
-        """The single highest-order entry [x_0, ..., x_m; f]."""
-        return self.rows[-1][0]
-
-
-def _validate_points(points, values):
+def divided_difference(points, values):
+    """[x_0, ..., x_m; f] via the triangular recursion."""
     if len(points) != len(values):
         raise ValueError(
             f"points and values must have equal length, got {len(points)} and {len(values)}"
@@ -58,11 +43,6 @@ def _validate_points(points, values):
                 f"points must be strictly increasing, got {points[i]} before {points[i + 1]} "
                 f"(repeated nodes are out of scope)"
             )
-
-
-def divided_difference_table(points, values) -> DividedDifferenceTable:
-    _validate_points(points, values)
-    rows = [tuple(values)]
     current = list(values)
     m = len(points) - 1
     for j in range(1, m + 1):
@@ -70,13 +50,7 @@ def divided_difference_table(points, values) -> DividedDifferenceTable:
             (current[i + 1] - current[i]) / (points[i + j] - points[i])
             for i in range(m + 1 - j)
         ]
-        rows.append(tuple(current))
-    return DividedDifferenceTable(tuple(points), tuple(values), tuple(rows))
-
-
-def divided_difference(points, values):
-    """[x_0, ..., x_m; f] via the triangular recursion."""
-    return divided_difference_table(points, values).top()
+    return current[0]
 
 
 @dataclass(frozen=True)
@@ -178,6 +152,19 @@ def _random_tuples(a, b, m, count, seed, min_gap) -> list:
     return out
 
 
+def _d6_grid(f_expr, iv: Interval, grid: int, ctx) -> list:
+    """(f^(6)(x), x) as floats at x = a, a + i*(b-a)/grid for 0 < i < grid, and b."""
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
+    d6 = f_expr
+    for _ in range(6):
+        d6 = expr_mod.differentiate(d6)
+    return [
+        (float(expr_mod.evaluate(d6, x, ctx)), float(x))
+        for x in partition_points(iv, grid, ctx)
+    ]
+
+
 def sixth_derivative_sign(f_expr, iv: Interval, grid: int, ctx=DOUBLE) -> ConvexityReport:
     """Sign pattern of the symbolic sixth derivative on an equispaced grid.
 
@@ -185,17 +172,7 @@ def sixth_derivative_sign(f_expr, iv: Interval, grid: int, ctx=DOUBLE) -> Convex
     raises NotDifferentiable if the expression cannot be differentiated six
     times and propagates evaluation domain errors.
     """
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
-    d6 = f_expr
-    for _ in range(6):
-        d6 = expr_mod.differentiate(d6)
-    a, b = ctx.const(iv.a), ctx.const(iv.b)
-    width = b - a
-    values = []
-    for i in range(grid + 1):
-        x = a if i == 0 else (b if i == grid else a + (i * width) / grid)
-        values.append((float(expr_mod.evaluate(d6, x, ctx)), float(x)))
+    values = _d6_grid(f_expr, iv, grid, ctx)
     scale = max(abs(v) for v, _ in values)
     tol = 64.0 * ctx.eps * scale
     saw_negative = any(v < -tol for v, _ in values)
@@ -211,3 +188,21 @@ def sixth_derivative_sign(f_expr, iv: Interval, grid: int, ctx=DOUBLE) -> Convex
         max_witness=(max_x,),
         verdict=_classify(saw_negative, saw_positive),
     )
+
+
+@dataclass(frozen=True)
+class M6Estimate:
+    """Sampled estimate of the sixth derivative's sup-norm.
+
+    Heuristic by construction: a finite grid can miss the maximum, so this
+    must not be fed into correctness-critical bounds without a margin.
+    """
+
+    value: float
+    sample_points: int
+
+
+def estimate_m6(f_expr, iv: Interval, ctx=DOUBLE, sample_points: int = 1025) -> M6Estimate:
+    """Estimate sup |f''''''| by sampling the symbolic sixth derivative."""
+    values = _d6_grid(f_expr, iv, sample_points - 1, ctx)
+    return M6Estimate(max(abs(v) for v, _ in values), sample_points)

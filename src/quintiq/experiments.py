@@ -38,10 +38,14 @@ def _decidability_floor(scale: float, ctx) -> float:
     return 1024.0 * ctx.eps * max(1.0, abs(scale))
 
 
-def _minimal_n(probe: GapProbe, eps: Fraction, ctx, n_max: int = 10**6) -> int:
-    threshold = 4 * ctx.const(eps)
-    n, _history = _search_doubling(probe, threshold, n_max, ctx.const(eps))
-    return n
+def _row(label: str, quintic: GapProbe, cubic: GapProbe, eps: Fraction, ctx) -> ExperimentRow:
+    """Both minimal n at eps, or a skipped row when 4 eps sits below the floor."""
+    if 4 * float(eps) < _decidability_floor(float(quintic.pair(1).q_n), ctx):
+        return ExperimentRow(label, None, None)
+    eps_s = ctx.const(eps)
+    n_quintic, _ = _search_doubling(quintic, 4 * eps_s, 10**6, eps_s)
+    n_cubic, _ = _search_doubling(cubic, 4 * eps_s, 10**6, eps_s)
+    return ExperimentRow(label, n_quintic, n_cubic)
 
 
 def experiment1(ctx=DOUBLE_DOUBLE) -> list[ExperimentRow]:
@@ -49,35 +53,19 @@ def experiment1(ctx=DOUBLE_DOUBLE) -> list[ExperimentRow]:
     one = ctx.const(1)
     f = lambda x: one / x
     iv = Interval(ctx.const(1), ctx.const(2))
+    # one probe pair for every row, so tighter rows reuse the memoized passes
     quintic = GapProbe(f, iv, ctx, QUINTIC_PAIR)
     cubic = GapProbe(f, iv, ctx, CUBIC_PAIR)
-    floor = _decidability_floor(float(quintic.pair(1).q_n), ctx)
-    rows = []
-    for k in range(1, 17):
-        eps = Fraction(1, 10**k)
-        if 4 * float(eps) < floor:
-            rows.append(ExperimentRow(f"1e-{k}", None, None))
-            continue
-        rows.append(
-            ExperimentRow(f"1e-{k}", _minimal_n(quintic, eps, ctx), _minimal_n(cubic, eps, ctx))
-        )
-    return rows
+    return [_row(f"1e-{k}", quintic, cubic, Fraction(1, 10**k), ctx) for k in range(1, 17)]
 
 
 def experiment2(ctx=DOUBLE_DOUBLE) -> list[ExperimentRow]:
     """Interval sweep [0, b], b = 1..10, for exp at a fixed eps = 1e-8."""
     eps = Fraction(1, 10**8)
-    f = ctx.exp
     rows = []
     for b in range(1, 11):
         iv = Interval(ctx.const(0), ctx.const(b))
-        quintic = GapProbe(f, iv, ctx, QUINTIC_PAIR)
-        cubic = GapProbe(f, iv, ctx, CUBIC_PAIR)
-        floor = _decidability_floor(float(quintic.pair(1).q_n), ctx)
-        if 4 * float(eps) < floor:
-            rows.append(ExperimentRow(str(b), None, None))
-            continue
-        rows.append(
-            ExperimentRow(str(b), _minimal_n(quintic, eps, ctx), _minimal_n(cubic, eps, ctx))
-        )
+        quintic = GapProbe(ctx.exp, iv, ctx, QUINTIC_PAIR)
+        cubic = GapProbe(ctx.exp, iv, ctx, CUBIC_PAIR)
+        rows.append(_row(str(b), quintic, cubic, eps, ctx))
     return rows

@@ -69,12 +69,13 @@ class IntegrandError(Exception):
         self.cause = cause
 
 
-_TABLE_CACHE: dict[tuple[RuleId, int], RuleTable] = {}
+_TABLE_CACHE: dict[tuple[RuleId, str], RuleTable] = {}
 
 
 def rule_table(rule_id: RuleId, ctx=DOUBLE) -> RuleTable:
     """Canonical table of the rule, built in the context's precision."""
-    key = (rule_id, id(ctx))
+    # keyed on the name: an id() can be reused by a context of another precision
+    key = (rule_id, ctx.name)
     table = _TABLE_CACHE.get(key)
     if table is None:
         table = RuleTable(rule_id, _build_points(rule_id, ctx))

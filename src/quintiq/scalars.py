@@ -20,9 +20,6 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import ldexp
-from typing import Union
-
-Scalar = Union[float, "DoubleDouble", object]  # object covers mpmath.mpf
 
 _SPLITTER = 134217729.0  # 2**27 + 1; Dekker split constant, exact in binary64
 
@@ -211,7 +208,8 @@ class DoubleDouble:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __hash__(self):
-        return hash((self.hi, self.lo))
+        # equal to an int or float exactly when the Fraction is, so hash that
+        return hash(self.as_fraction())
 
     def __float__(self):
         return self.hi + self.lo
@@ -321,7 +319,6 @@ class DoubleContext:
 
     name = "double"
     eps = 2.220446049250313e-16
-    decimal_digits = 17
 
     def const(self, v) -> float:
         if isinstance(v, float):
@@ -346,9 +343,6 @@ class DoubleContext:
             raise ValueError("logarithm of a non-positive value")
         return math.log(x)
 
-    def to_float(self, x) -> float:
-        return float(x)
-
     def to_decimal(self, x) -> str:
         return repr(float(x))
 
@@ -361,7 +355,6 @@ class DoubleDoubleContext:
 
     name = "dd"
     eps = 4.930380657631324e-32  # 2**-104
-    decimal_digits = 31
 
     def const(self, v) -> DoubleDouble:
         if isinstance(v, DoubleDouble):
@@ -383,9 +376,6 @@ class DoubleDoubleContext:
 
     def ln(self, x):
         return dd_ln(x)
-
-    def to_float(self, x) -> float:
-        return float(x)
 
     def to_decimal(self, x) -> str:
         with localcontext() as dctx:
@@ -411,7 +401,6 @@ class MPFloatContext:
         self._mp.dps = digits
         self.name = f"mp:{digits}"
         self.eps = float(self._mp.eps)
-        self.decimal_digits = digits
 
     def const(self, v):
         mp = self._mp
@@ -436,9 +425,6 @@ class MPFloatContext:
         if x <= 0:
             raise ValueError("logarithm of a non-positive value")
         return self._mp.log(x)
-
-    def to_float(self, x) -> float:
-        return float(x)
 
     def to_decimal(self, x) -> str:
         return self._mp.nstr(x, self.digits)

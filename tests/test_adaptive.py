@@ -7,11 +7,11 @@ import pytest
 
 from quintiq.adaptive import (
     BudgetExceeded,
+    GapProbe,
     Method,
     SearchStrategy,
     integrate_adaptive,
     integrate_adaptive_cubic,
-    stopping_gap,
 )
 from quintiq.rules import Interval
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE
@@ -77,20 +77,20 @@ class TestTrivialPolynomials:
 
 class TestStoppingGap:
     def test_n1_reciprocal_gap(self):
-        gap = stopping_gap(_inv(DOUBLE), Interval(1.0, 2.0), 1)
+        gap = GapProbe(_inv(DOUBLE), Interval(1.0, 2.0)).gap(1)
         assert gap == pytest.approx(float(GAP_1X_N1), rel=1e-12)
 
     def test_n1_reciprocal_gap_dd(self):
         iv = Interval(DOUBLE_DOUBLE.const(1), DOUBLE_DOUBLE.const(2))
-        gap = stopping_gap(_inv(DOUBLE_DOUBLE), iv, 1, DOUBLE_DOUBLE)
+        gap = GapProbe(_inv(DOUBLE_DOUBLE), iv, DOUBLE_DOUBLE).gap(1)
         assert abs(dd_to_mpf(gap) - mpmath.mpf(1) / 16632) < mpmath.mpf("1e-30")
 
     def test_degree5_gap_is_roundoff(self):
-        gap = stopping_gap(lambda x: x**5, Interval(0.0, 3.0), 7)
+        gap = GapProbe(lambda x: x**5, Interval(0.0, 3.0)).gap(7)
         assert abs(gap) <= 64 * DOUBLE.eps * 3**5
 
     def test_n4_gap_brackets_paper_rows(self):
-        gap = stopping_gap(_inv(DOUBLE), Interval(1.0, 2.0), 4)
+        gap = GapProbe(_inv(DOUBLE), Interval(1.0, 2.0)).gap(4)
         assert 4e-9 < gap <= 4e-8
         assert gap == pytest.approx(float(GAP_1X_N4), rel=1e-10)
 
@@ -189,7 +189,7 @@ class TestBudget:
         assert float(err.best_gap) > 4e-10
         # reports the best (smallest) gap achieved
         assert float(err.best_gap) == pytest.approx(
-            float(stopping_gap(_inv(DOUBLE), Interval(1.0, 2.0), 3)), rel=1e-12
+            float(GapProbe(_inv(DOUBLE), Interval(1.0, 2.0)).gap(3)), rel=1e-12
         )
 
     def test_doubling_budget_exceeded(self):

@@ -7,7 +7,6 @@ from quintiq.convexity import (
     Verdict,
     check_n_convexity,
     divided_difference,
-    divided_difference_table,
     sixth_derivative_sign,
 )
 from quintiq.expr import DomainError, parse
@@ -56,13 +55,11 @@ class TestDividedDifference:
     def test_table_structure(self):
         pts = [0.0, 0.5, 1.5, 2.0]
         vals = [p**3 - p for p in pts]
-        table = divided_difference_table(pts, vals)
-        assert table.order == 3
-        assert list(table.rows[0]) == vals
+        # row 0 of the triangle is the values themselves
+        assert [divided_difference([p], [v]) for p, v in zip(pts, vals)] == vals
         # recursion identity for the first order-1 entry
-        assert table.rows[1][0] == (vals[1] - vals[0]) / (pts[1] - pts[0])
-        assert len(table.rows[3]) == 1
-        assert table.top() == pytest.approx(1.0, rel=1e-12)
+        assert divided_difference(pts[:2], vals[:2]) == (vals[1] - vals[0]) / (pts[1] - pts[0])
+        assert divided_difference(pts, vals) == pytest.approx(1.0, rel=1e-12)
 
     def test_table_works_in_dd(self):
         pts = [DOUBLE_DOUBLE.const(t) for t in ("0", "1", "2", "3")]

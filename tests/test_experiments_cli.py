@@ -201,6 +201,16 @@ class TestCliExitCodes:
         assert r.returncode == 2
         assert "a < b" in r.stderr
 
+    @pytest.mark.parametrize(
+        "extra", [["--a", "1e400", "--b", "2"], ["--a", "1", "--b", "2", "--eps", "1e400"]]
+    )
+    def test_overflowing_number_is_2(self, extra):
+        # 1e400 overflows a double while being converted
+        r = run_cli("integrate", "--fn", "1/x", *extra)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+
     def test_budget_exceeded_is_3(self):
         r = run_cli(
             "integrate", "--fn", "1/x", "--a", "1", "--b", "2",

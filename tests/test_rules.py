@@ -15,7 +15,7 @@ from quintiq.rules import (
     blend_q,
     rule_table,
 )
-from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, mp_context
+from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, MPFloatContext, mp_context
 
 import corpus as corpus_mod
 from support import (
@@ -95,6 +95,16 @@ class TestRuleTables:
         ref = mpmath.sqrt(mpmath.mpf(3) / 5)
         assert abs(dd_to_mpf(node) - ref) < mpmath.mpf("1e-31")
         assert node.lo != 0.0
+
+    def test_tables_follow_context_precision(self):
+        # short-lived contexts of alternating precision can reuse one id();
+        # each must still get nodes built at its own precision
+        for _ in range(8):
+            for digits in (20, 60):
+                node = rule_table(RuleId.GAUSS3, MPFloatContext(digits)).points[0][0]
+                with mpmath.workdps(80):
+                    err = abs(mpmath.mpf(node) + mpmath.sqrt(mpmath.mpf(3) / 5))
+                    assert err < mpmath.mpf(10) ** (2 - digits)
 
 
 class TestInterval:

@@ -153,6 +153,13 @@ def test_dd_comparisons():
     assert float((1 - a) / 2) == pytest.approx(0.45)
 
 
+@pytest.mark.parametrize("v", [1.0, 0.5, 2**53 + 1])
+def test_dd_hash_agrees_with_equality(v):
+    x = DOUBLE_DOUBLE.const(v)
+    assert x == v
+    assert hash(x) == hash(v)
+
+
 def test_dd_abs_and_neg():
     a = DOUBLE_DOUBLE.const("-2.5")
     assert abs(a) == DOUBLE_DOUBLE.const("2.5")
@@ -182,7 +189,8 @@ def test_mp_context_independent_precisions():
     c20 = mp_context(20)
     x40 = c40.const(1) / c40.const(3)
     x20 = c20.const(1) / c20.const(3)
-    assert abs(float(x40 - Fraction(1, 3))) < 1e-39 or True  # float() collapses; use mpf
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(x40) - mpmath.mpf(1) / 3) < mpmath.mpf("1e-39")
     assert c40.to_decimal(x40) != c20.to_decimal(x20)
     assert len(c40.to_decimal(x40)) > len(c20.to_decimal(x20))
     assert c40.eps < 1e-39
