@@ -7,15 +7,22 @@ with a guaranteed error of at most eps.  The same machinery drives the
 lower-order Chebyshev/Simpson method for 3-convex integrands, stopping on
 |S_n - C_n| <= 4 eps.
 
+Two searches find that n.  ``linear`` tries n = 1, 2, 3, ... and is minimal
+unconditionally.  ``doubling`` brackets the crossing and predicts each next
+probe from the gap law |L_n - G_n| ~ C n^-6 (n^-4 for the cubic pair); it
+returns the same minimal n whenever the gap sequence is non-increasing, with
+a small fraction of the composite passes.
+
 The error guarantee is conditional on the convexity hypothesis; it is the
 caller's responsibility (see ``quintiq.convexity`` for sampled evidence).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .composite import CUBIC_PAIR, QUINTIC_PAIR, CompositePair, composite_pair
+from .composite import CUBIC_PAIR, GAP_ORDER, QUINTIC_PAIR, CompositePair, composite_pair
 from .rules import Integrand, Interval
 from .scalars import DOUBLE
 
@@ -28,8 +35,9 @@ class Method(Enum):
 class SearchStrategy(Enum):
     #: n = 1, 2, 3, ... -- returns the smallest admissible n unconditionally
     LINEAR_MINIMAL = "linear"
-    #: double n until the criterion holds, then bisect; minimal n whenever
-    #: the gap sequence is non-increasing, and far fewer evaluations
+    #: order-guided bracketing: each probe predicted from the n^-p gap law,
+    #: safeguarded by bisection; minimal n whenever the gap sequence is
+    #: non-increasing, and far fewer evaluations
     DOUBLING_BISECT = "doubling"
 
 
@@ -97,29 +105,67 @@ def _search_linear(probe: GapProbe, threshold, n_max: int, epsilon):
     raise BudgetExceeded(n_max, epsilon, best_n, best_gap)
 
 
+#: Largest gap/threshold ratio a prediction uses; an overflowing or NaN ratio
+#: is clamped to it so that the predicted n stays a finite integer.
+_RATIO_CAP = 1e300
+
+
+def _predict(n: int, gap, threshold, order: int) -> int:
+    """Smallest m with C m^-order <= threshold, for C fitted to gap at n.
+
+    The ratio is divided in the context's own arithmetic: a threshold below
+    the double range would underflow if it were converted to a float first.
+    """
+    ratio = float(gap / threshold)
+    if not ratio < _RATIO_CAP:
+        ratio = _RATIO_CAP
+    return math.ceil(n * ratio ** (1 / order))
+
+
 def _search_doubling(probe: GapProbe, threshold, n_max: int, epsilon):
+    """Order-guided bracketing for the smallest n with gap(n) <= threshold.
+
+    Keeps gap(lo) > threshold >= gap(hi), lo = 0 standing for "no failing
+    probe yet", and stops when hi - lo == 1.  Each next probe is predicted
+    from the last one by the gap law C n^-p, clamped into (lo, hi) and to
+    n_max.  Two safeguards, in the style of Brent's zero finder, bound the
+    probe count by a small multiple of bisection's whatever the gaps do: a
+    bracketed step that did not halve the bracket is followed by a midpoint
+    step, and once n = 1 and two predictions have failed with no passing
+    probe yet, every further probe at least doubles n.  The result is the
+    minimal n whenever the gap sequence is non-increasing.
+    """
+    order = GAP_ORDER[probe.rule_pair]
     history = []
-    lo, n = 0, 1
+    lo, hi = 0, None
+    n, width = 1, None  # width: the bracket when the current probe was chosen
+    # failed probes while none has passed; n = 1 is pre-asymptotic and the
+    # prediction from it usually falls short, so doubling waits for a fourth
+    misses = 0
     while True:
         gap = probe.gap(n)
         history.append((n, gap))
         if gap <= threshold:
-            break
-        lo = n
-        if n >= n_max:
-            best_n, best_gap = _best(history)
-            raise BudgetExceeded(n_max, epsilon, best_n, best_gap)
-        n = min(2 * n, n_max)
-    hi = n
-    # exact minimal n in (lo, hi] provided the gap is non-increasing there
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        gap = probe.gap(mid)
-        history.append((mid, gap))
-        if gap <= threshold:
-            hi = mid
+            hi = n
         else:
-            lo = mid
+            lo = n
+        guess = _predict(n, gap, threshold, order)
+        if hi is None:
+            if n >= n_max:
+                best_n, best_gap = _best(history)
+                raise BudgetExceeded(n_max, epsilon, best_n, best_gap)
+            misses += 1
+            if misses >= 4:
+                guess = max(guess, 2 * n)
+            n = min(max(guess, n + 1), n_max)
+            continue
+        if hi - lo == 1:
+            break
+        if width is not None and hi - lo > (width + 1) // 2:
+            n = (lo + hi) // 2
+        else:
+            n = min(max(guess, lo + 1), hi - 1)
+        width = hi - lo
     if history[-1][0] != hi:
         history.append((hi, probe.gap(hi)))
     return hi, history

@@ -8,10 +8,11 @@ Subcommands:
 * ``experiment2`` -- the exp interval-sweep table
 
 Exit codes: 0 success, 1 expression parse error, 2 invalid values or a
-domain error during evaluation, 3 iteration budget exceeded.  The default
-precision is ``double`` for integrate/check and ``dd`` for the experiment
-commands; the QUINTIQ_PRECISION environment variable overrides either and
-the --precision flag wins over both.
+domain error during evaluation, 3 iteration budget exceeded, 141 stdout
+closed by its reader (the code a shell reports for a command killed by
+SIGPIPE).  The default precision is ``double`` for integrate/check and
+``dd`` for the experiment commands; the QUINTIQ_PRECISION environment
+variable overrides either and the --precision flag wins over both.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
 EXIT_DOMAIN_ERROR = 2
 EXIT_BUDGET_EXCEEDED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,6 +106,16 @@ def _parse_interval(ctx, a_text: str, b_text: str) -> Interval:
     return Interval(a, b)
 
 
+def _parse_eps(ctx, text: str):
+    try:
+        eps = ctx.const(text)
+        if not eps > 0:  # also a positive value that underflows the context
+            raise ValueError(f"not positive in {ctx.name} precision")
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"invalid tolerance --eps={text}: {exc}") from exc
+    return eps
+
+
 def _config(args, precision: str) -> dict:
     """The request's settings as echoed in the JSON ``config`` block."""
     config = {"command": args.command, "fn": args.fn, "a": args.a, "b": args.b}
@@ -143,9 +155,10 @@ def _cmd_integrate(args) -> int:
     ctx, precision = _resolve_precision(args.precision, "integrate")
     tree = expr_mod.parse(args.fn)
     iv = _parse_interval(ctx, args.a, args.b)
+    eps = _parse_eps(ctx, args.eps)
     f = expr_mod.as_integrand(tree, ctx)
     runner = integrate_adaptive if args.method == "quintic" else integrate_adaptive_cubic
-    result = runner(f, iv, args.eps, SearchStrategy(args.strategy), args.n_max, ctx)
+    result = runner(f, iv, eps, SearchStrategy(args.strategy), args.n_max, ctx)
 
     payload = _result_payload(result, ctx, precision, args)
     if args.verify_convexity:
@@ -286,12 +299,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "integrate":
-            return _cmd_integrate(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "experiment1":
-            return _cmd_experiment(args, 1)
-        return _cmd_experiment(args, 2)
+            code = _cmd_integrate(args)
+        elif args.command == "check":
+            code = _cmd_check(args)
+        elif args.command == "experiment1":
+            code = _cmd_experiment(args, 1)
+        else:
+            code = _cmd_experiment(args, 2)
+        # a reader that has gone away surfaces here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the exit-time flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ExprSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

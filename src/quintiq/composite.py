@@ -28,6 +28,8 @@ from .scalars import DOUBLE
 #: adaptive methods.
 QUINTIC_PAIR = (RuleId.GAUSS3, RuleId.LOBATTO4)
 CUBIC_PAIR = (RuleId.CHEBYSHEV3, RuleId.SIMPSON)
+#: Order p of each pair's stopping gap, |L_n - G_n| ~ C n^-p as n grows.
+GAP_ORDER = {QUINTIC_PAIR: 6, CUBIC_PAIR: 4}
 
 
 @dataclass(frozen=True)

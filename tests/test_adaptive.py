@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quintiq.adaptive import (
     BudgetExceeded,
@@ -12,7 +14,9 @@ from quintiq.adaptive import (
     SearchStrategy,
     integrate_adaptive,
     integrate_adaptive_cubic,
+    _search_doubling,
 )
+from quintiq.composite import QUINTIC_PAIR
 from quintiq.rules import Interval
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE
 
@@ -167,6 +171,85 @@ class TestStrategies:
         r = integrate_adaptive(_inv(DOUBLE), Interval(1.0, 2.0), "1e-1", DOUBLING)
         assert r.n_final == 1
         assert [n for n, _ in r.history] == [1]
+
+    @given(
+        fn=st.sampled_from(corpus_mod.CORPUS),
+        ctx=st.sampled_from([DOUBLE, DOUBLE_DOUBLE]),
+        runner=st.sampled_from([integrate_adaptive, integrate_adaptive_cubic]),
+        eps=st.floats(min_value=1e-10, max_value=1e-2),
+        n_max=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_doubling_is_minimal_and_agrees_with_linear(self, fn, ctx, runner, eps, n_max):
+        f = corpus_mod.integrand(fn, ctx)
+        iv = corpus_mod.interval(fn, ctx)
+        try:
+            lin = runner(f, iv, eps, LINEAR, n_max, ctx)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                runner(f, iv, eps, DOUBLING, n_max, ctx)
+            return
+        dbl = runner(f, iv, eps, DOUBLING, n_max, ctx)
+        gaps = dict(dbl.history)
+        threshold = 4 * ctx.const(eps)
+        n = dbl.n_final
+        assert gaps[n] <= threshold
+        assert n == 1 or gaps[n - 1] > threshold
+        assert dbl.history[-1] == (n, dbl.gap_final)
+        lin_gaps = [g for _, g in lin.history]
+        if all(a >= b for a, b in zip(lin_gaps, lin_gaps[1:])):
+            assert n == lin.n_final
+
+
+class _StubProbe:
+    """A GapProbe stand-in whose gap sequence is a plain function of n."""
+
+    rule_pair = QUINTIC_PAIR
+
+    def __init__(self, gap):
+        self.gap = gap
+
+
+class TestSearchSafeguards:
+    """Gap sequences that defeat the n^-6 model: the probe count must stay
+    within a small multiple of bisection's (about 2 log2 n_max)."""
+
+    N_MAX = 10**6
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 12345, 999_999, 10**6])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda k: lambda n: 1e300 if n < k else 0.0,  # model overshoots
+            lambda k: lambda n: 1.000001 if n < k else 0.0,  # model creeps by one
+            lambda k: lambda n: (k / n) ** 0.05,  # far slower than n^-6
+        ],
+        ids=["cliff", "plateau", "slow"],
+    )
+    def test_adversarial_gaps_keep_bisection_cost(self, shape, k):
+        n, history = _search_doubling(_StubProbe(shape(k)), 1.0, self.N_MAX, 1)
+        assert n == k
+        assert history[-1][0] == k
+        assert len(history) <= 3 * self.N_MAX.bit_length()
+
+
+class TestSearchCost:
+    """Evaluation budgets of the doubling search on the paper's hardest
+    Experiment 1 row."""
+
+    IV = Interval(DOUBLE_DOUBLE.const(1), DOUBLE_DOUBLE.const(2))
+
+    def test_cubic_reciprocal_1e16_dd(self):
+        r = integrate_adaptive_cubic(
+            _inv(DOUBLE_DOUBLE), self.IV, "1e-16", DOUBLING, ctx=DOUBLE_DOUBLE
+        )
+        assert r.n_final == 1572
+        assert r.evaluations <= 30_000
+
+    def test_quintic_reciprocal_1e16_dd(self):
+        r = integrate_adaptive(_inv(DOUBLE_DOUBLE), self.IV, "1e-16", DOUBLING, ctx=DOUBLE_DOUBLE)
+        assert r.n_final == 84
+        assert r.evaluations <= 2_000
 
 
 class TestDominance:

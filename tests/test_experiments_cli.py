@@ -219,6 +219,54 @@ class TestCliExitCodes:
         assert r.returncode == 3
         assert "best gap" in r.stderr
 
+    def test_budget_exceeded_below_double_range_is_3(self):
+        # 4 eps underflows a double; the search must still exit on the budget
+        r = run_cli(
+            "integrate", "--fn", "1/x", "--a", "1", "--b", "2", "--eps", "1e-400",
+            "--precision", "mp:500", "--strategy", "doubling", "--n-max", "5",
+        )
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: no n <= 5 reached gap <= 4*eps")
+        assert "at n = 5" in r.stderr
+
+    @pytest.mark.parametrize(
+        "eps, cause",
+        [
+            ("1e400", "integer division result too large for a float"),
+            ("nan", "nan"),
+            ("1e-400", "not positive in double precision"),
+        ],
+    )
+    def test_invalid_eps_names_the_option(self, eps, cause):
+        r = run_cli("integrate", "--fn", "1/x", "--a", "1", "--b", "2", f"--eps={eps}")
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: invalid tolerance --eps={eps}: ")
+        assert cause in r.stderr
+        assert len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_is_141_without_traceback(self, unbuffered):
+        env = dict(os.environ)
+        env.pop("QUINTIQ_PRECISION", None)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "quintiq", "experiment1", "--precision", "double"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert r.returncode == 141
+        assert r.stderr == ""
+
     def test_success_is_0(self):
         r = run_cli("integrate", "--fn", "1/x", "--a", "1", "--b", "2", "--eps", "1e-4")
         assert r.returncode == 0
