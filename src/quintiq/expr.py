@@ -21,6 +21,7 @@ integer exponents are differentiable.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -345,10 +346,72 @@ def parse(text: str) -> ExprNode:
 # Evaluation
 
 
+def fold(node: ExprNode) -> ExprNode:
+    """The tree with every literal-only subtree folded exactly, as `parse` does.
+
+    Trees from `parse` and `differentiate` come back unchanged (the same
+    object); a tree built with the raw node constructors gets the constants
+    that reading its `to_text` back would give, so both evaluate alike.
+    """
+    return _fold(node, {})
+
+
+def _fold(node, memo):
+    # memoized per node object so shared subtrees stay shared
+    key = id(node)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        left, right = _fold(node.left, memo), _fold(node.right, memo)
+        if left is node.left and right is node.right and not (
+            isinstance(left, Constant) and isinstance(right, Constant)
+        ):
+            out = node
+        else:
+            out = _MK_BINARY[type(node)](left, right, node.span)
+    elif isinstance(node, Pow):
+        base = _fold(node.base, memo)
+        if base is node.base and not isinstance(base, Constant):
+            out = node
+        else:
+            out = _mk_pow(base, node.exponent, node.span)
+    elif isinstance(node, (Neg, Plus, Exp, Ln)):
+        child = _fold(node.child, memo)
+        if isinstance(child, Constant) and type(node) in _MK_UNARY:
+            out = _MK_UNARY[type(node)](child, node.span)
+        elif child is node.child:
+            out = node
+        else:
+            out = type(node)(child, node.span)
+    else:
+        out = node
+    memo[key] = out
+    return out
+
+
+_MK_BINARY = {Add: _mk_add, Sub: _mk_sub, Mul: _mk_mul, Div: _mk_div}
+_MK_UNARY = {Neg: _mk_neg, Plus: _mk_plus}
+
+
 def evaluate(node: ExprNode, x, ctx=DOUBLE):
-    """Evaluate at abscissa x under the given precision context."""
-    xv = ctx.const(x)
-    return _eval(node, xv, ctx, {})
+    """Evaluate at abscissa x under the given precision context.
+
+    Literal-only subtrees are folded exactly first (see `fold`), so a tree
+    and the tree parsed back from its text give the same value.
+    """
+    if _FOLDED.get(id(node)) is not node:
+        folded = fold(node)
+        if folded is node:
+            # repeated calls on one big tree (a sixth-derivative grid) must
+            # not pay a folding pass per abscissa
+            _FOLDED[id(node)] = node
+        node = folded
+    return _eval(node, ctx.const(x), ctx, {})
+
+
+# roots already known to be folded, by id; an entry dies with its tree
+_FOLDED: "weakref.WeakValueDictionary[int, ExprNode]" = weakref.WeakValueDictionary()
 
 
 def _eval(node, x, ctx, cache):
@@ -427,6 +490,7 @@ def _eval_pow(node: Pow, x, ctx, cache):
 
 def as_integrand(node: ExprNode, ctx=DOUBLE):
     """Bind a tree to a context, yielding a plain scalar -> scalar callable."""
+    node = fold(node)
     return lambda x: _eval(node, ctx.const(x), ctx, {})
 
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quintiq.expr import (
@@ -24,6 +24,7 @@ from quintiq.expr import (
     Variable,
     differentiate,
     evaluate,
+    fold,
     parse,
     to_text,
 )
@@ -281,9 +282,12 @@ def _tree():
 
 @given(_tree())
 @settings(max_examples=150, deadline=None)
+# exp(-81): rounding (1/9)^-2 in floats instead of folding it exactly would
+# be amplified 81-fold by exp
+@example(Exp(Neg(Pow(Constant(Fraction(1, 9)), Fraction(-2)))))
 def test_random_tree_round_trip(node):
-    # printing then reparsing may fold literal subtrees the direct
-    # constructors left unfolded, so values agree to ulps, not bitwise
+    # printing then reparsing folds literal subtrees the direct constructors
+    # left unfolded; evaluate folds them the same way, so values agree bitwise
     text = to_text(node)
     again = parse(text)
     for xv in (0.37, -1.25, 2.0):
@@ -293,4 +297,20 @@ def test_random_tree_round_trip(node):
             continue
         if not math.isfinite(expected):
             continue
-        assert evaluate(again, xv) == pytest.approx(expected, rel=1e-14, abs=1e-300)
+        assert evaluate(again, xv) == expected
+
+
+def test_fold_matches_parse_and_keeps_folded_trees():
+    raw = Add(Variable(), Mul(Constant(Fraction(1, 3)), Pow(Constant(Fraction(2)), Fraction(-2))))
+    folded = fold(raw)
+    assert folded == Add(Variable(), Constant(Fraction(1, 12)))
+    assert folded == parse(to_text(raw))
+    parsed = parse("exp(-x^2) / (1 + x) + ln(x)")
+    assert fold(parsed) is parsed
+    d2 = differentiate(differentiate(parsed))
+    assert fold(d2) is d2
+    # unfoldable literal subtrees stay as they are and fail at evaluation
+    zero_div = Div(Constant(Fraction(1)), Constant(Fraction(0)))
+    assert fold(zero_div) == zero_div
+    with pytest.raises(DomainError):
+        evaluate(zero_div, 0.5)
