@@ -159,10 +159,8 @@ def _d6_grid(f_expr, iv: Interval, grid: int, ctx) -> list:
     d6 = f_expr
     for _ in range(6):
         d6 = expr_mod.differentiate(d6)
-    return [
-        (float(expr_mod.evaluate(d6, x, ctx)), float(x))
-        for x in partition_points(iv, grid, ctx)
-    ]
+    f6 = expr_mod.as_integrand(d6, ctx)
+    return [(float(f6(x)), float(x)) for x in partition_points(iv, grid, ctx)]
 
 
 def sixth_derivative_sign(f_expr, iv: Interval, grid: int, ctx=DOUBLE) -> ConvexityReport:

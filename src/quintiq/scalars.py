@@ -54,7 +54,8 @@ class DoubleDouble:
 
     Standard double-double operating range: components must stay normal, so
     full accuracy holds for magnitudes roughly within [1e-270, 1e300];
-    beyond that the low word degrades gracefully toward double precision.
+    beyond that the low word degrades gracefully toward double precision,
+    and a product or quotient that overflows is +-inf, as in double.
     """
 
     __slots__ = ("hi", "lo")
@@ -126,6 +127,10 @@ class DoubleDouble:
         p, e = _two_prod(self.hi, o.hi)
         e += self.hi * o.lo + self.lo * o.hi
         hi, lo = _quick_two_sum(p, e)
+        if lo != lo:
+            # a nan tail: the product overflowed, or a factor beyond ~1e300
+            # overflowed its Dekker split; keep the plain product
+            return DoubleDouble(p, 0.0)
         return DoubleDouble(hi, lo)
 
     __rmul__ = __mul__
@@ -145,6 +150,10 @@ class DoubleDouble:
         s, e = _quick_two_sum(q1, q2)
         e += q3
         hi, lo = _quick_two_sum(s, e)
+        if lo != lo:
+            # a nan tail: the quotient overflowed, or one beyond ~1e300 made
+            # the corrections nan; keep the plain quotient
+            return DoubleDouble(q1, 0.0)
         return DoubleDouble(hi, lo)
 
     def __rtruediv__(self, other):

@@ -281,6 +281,20 @@ class TestBudget:
                 _inv(DOUBLE), Interval(1.0, 2.0), "1e-10", DOUBLING, n_max=3
             )
 
+    def test_budget_keeps_scalars_and_prints_short_decimals(self):
+        with pytest.raises(BudgetExceeded) as exc_info:
+            integrate_adaptive(
+                _inv(DOUBLE_DOUBLE), Interval(1.0, 2.0), "1e-300", DOUBLING, n_max=3,
+                ctx=DOUBLE_DOUBLE,
+            )
+        err = exc_info.value
+        assert err.epsilon == DOUBLE_DOUBLE.const("1e-300")
+        assert isinstance(err.best_gap, type(err.epsilon))
+        gap = float(err.best_gap)
+        assert str(err) == (
+            f"no n <= 3 reached gap <= 4*eps (eps = 1e-300); best gap {gap:.6g} at n = 3"
+        )
+
     def test_budget_not_hit_when_exact(self):
         r = integrate_adaptive(lambda x: x, Interval(0.0, 1.0), "1e-12", LINEAR, n_max=1)
         assert r.n_final == 1

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -228,6 +229,25 @@ class TestCliExitCodes:
         assert r.returncode == 3
         assert r.stderr.startswith("error: no n <= 5 reached gap <= 4*eps")
         assert "at n = 5" in r.stderr
+
+    @pytest.mark.parametrize("precision, eps", [("dd", "1e-300"), ("mp:500", "1e-400")])
+    def test_budget_message_prints_short_decimals(self, precision, eps):
+        r = run_cli(
+            "integrate", "--fn", "1/x", "--a", "1", "--b", "2", "--eps", eps,
+            "--precision", precision, "--strategy", "doubling", "--n-max", "50",
+        )
+        assert r.returncode == 3
+        m = re.fullmatch(
+            r"error: no n <= 50 reached gap <= 4\*eps \(eps = (\S+)\); "
+            r"best gap (\S+) at n = 50\n",
+            r.stderr,
+        )
+        assert m is not None, r.stderr
+        assert m.group(1) == eps
+        gap = m.group(2)
+        # about 6 significant digits, no class name
+        assert len(gap) <= 12
+        assert float(gap) == pytest.approx(8.745e-15, rel=1e-3)
 
     @pytest.mark.parametrize(
         "eps, cause",

@@ -22,13 +22,15 @@ from quintiq.expr import (
     Sub,
     UnknownIdentifierError,
     Variable,
+    _compile,
+    as_integrand,
     differentiate,
     evaluate,
     fold,
     parse,
     to_text,
 )
-from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, mp_context
+from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, DoubleDouble, mp_context
 
 import corpus as corpus_mod
 
@@ -314,3 +316,140 @@ def test_fold_matches_parse_and_keeps_folded_trees():
     assert fold(zero_div) == zero_div
     with pytest.raises(DomainError):
         evaluate(zero_div, 0.5)
+
+
+# --------------------------------------------------------------------------
+# The compiled tape against a plain recursive evaluator
+
+
+def _reference(node, x, ctx):
+    """Un-memoized recursive evaluation with the tape's domain checks."""
+    if isinstance(node, Constant):
+        return ctx.const(node.value)
+    if isinstance(node, Variable):
+        return x
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        left = _reference(node.left, x, ctx)
+        right = _reference(node.right, x, ctx)
+        if isinstance(node, Add):
+            return left + right
+        if isinstance(node, Sub):
+            return left - right
+        if isinstance(node, Mul):
+            return left * right
+        if right == 0:
+            raise DomainError("division by zero", x)
+        return left / right
+    if isinstance(node, Pow):
+        base = _reference(node.base, x, ctx)
+        k = node.exponent
+        if k.denominator == 1:
+            if k < 0 and base == 0:
+                raise DomainError("zero raised to a negative power", x)
+            try:
+                return base ** int(k)
+            except OverflowError:
+                raise DomainError("power overflow", x) from None
+        if base == 0:
+            if k > 0:
+                return ctx.const(0)
+            raise DomainError("zero raised to a negative power", x)
+        if base < 0:
+            raise DomainError("fractional power of a negative base", x)
+        try:
+            return ctx.exp(ctx.const(k) * ctx.ln(base))
+        except OverflowError:
+            raise DomainError("power overflow", x) from None
+    v = _reference(node.child, x, ctx)
+    if isinstance(node, Neg):
+        return -v
+    if isinstance(node, Exp):
+        try:
+            return ctx.exp(v)
+        except OverflowError:
+            raise DomainError("exp overflow", x) from None
+    if isinstance(node, Ln):
+        if v <= 0:
+            raise DomainError("ln of a non-positive argument", x)
+        return ctx.ln(v)
+    return v if v > 0 else ctx.const(0)  # Plus
+
+
+def _bits(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, DoubleDouble):
+        return value.hi.hex(), value.lo.hex()
+    return value._mpf_  # mpmath's exact (sign, mantissa, exponent, bits)
+
+
+def _outcome(evaluate_at, x):
+    """The value's bits, or what was raised: DomainErrors by message and
+    abscissa, anything else by type and text."""
+    try:
+        return _bits(evaluate_at(x))
+    except DomainError as exc:
+        return "DomainError", exc.message, _bits(exc.abscissa)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_CONTEXTS = {"double": DOUBLE, "dd": DOUBLE_DOUBLE, "mp:30": mp_context(30)}
+
+
+@given(
+    _tree(),
+    st.sampled_from(sorted(_CONTEXTS)),
+    st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(min_value=-4, max_value=4)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+# shared structure: both divisions by (x - 1) share one slot, and ln(x - 2)
+# must still raise before 1/(x - 1) does at x = 1
+@example(parse("ln(x-2) + 1/(x-1) - 1/(x-1)"), "double", [1.0, 3.0])
+@example(parse("x^0.5 + plus(x)^(3/2) - (x-1)^-0.5"), "dd", [0.0, 1.0, 2.0])
+# three unary operations on one operand: each needs its own slot
+@example(parse("exp(x) - -x*ln(x)"), "mp:30", [0.5, 2.0])
+# plus(-0.0) is the bound +0.0, not the operand -0.0
+@example(parse("plus(-x)"), "double", [0.0])
+def test_tape_matches_recursive_reference_bitwise(node, precision, abscissae):
+    ctx = _CONTEXTS[precision]
+    f = as_integrand(node, ctx)
+    folded = fold(node)
+    for xv in abscissae:
+        x = ctx.const(xv)
+        expected = _outcome(lambda x: _reference(folded, x, ctx), x)
+        assert _outcome(f, x) == expected
+        assert _outcome(lambda x: evaluate(node, x, ctx), x) == expected
+
+
+def _tree_size(root):
+    """(nodes counted as a tree, distinct node objects)."""
+    sizes = {}
+
+    def size(node):
+        key = id(node)
+        if key not in sizes:
+            kids = [getattr(node, a) for a in ("left", "right", "child", "base") if hasattr(node, a)]
+            sizes[key] = 1 + sum(size(k) for k in kids)
+        return sizes[key]
+
+    return size(root), len(sizes)
+
+
+def test_sixth_derivative_of_reciprocal_compiles_small():
+    d6 = parse("1/x")
+    for _ in range(6):
+        d6 = differentiate(d6)
+    # the tree itself is not simplified; only its evaluation plan is shared
+    assert _tree_size(d6) == (36961, 7272)
+    init, _tape, _out = _compile(fold(d6), DOUBLE)
+    assert len(init) <= 400
+    for ctx in (DOUBLE, DOUBLE_DOUBLE, mp_context(30)):
+        f = as_integrand(d6, ctx)
+        for xv in ("1", "1.5", "2"):
+            x = ctx.const(xv)
+            assert _bits(f(x)) == _bits(_reference(d6, x, ctx)), (ctx.name, xv)

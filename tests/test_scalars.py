@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quintiq.expr import as_integrand, parse
 from quintiq.scalars import (
     DOUBLE,
     DOUBLE_DOUBLE,
@@ -130,6 +131,31 @@ def test_dd_domain_errors():
         dd_sqrt(DoubleDouble(-4.0))
     with pytest.raises(ZeroDivisionError):
         DoubleDouble(1.0) / DoubleDouble(0.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dd_overflow_is_infinite_not_nan(sign):
+    inf = sign * math.inf
+    for r in (
+        DoubleDouble(sign * 1e300) / DoubleDouble(1e-10),
+        DoubleDouble(1e300) / DoubleDouble(sign * 1e-10),
+        DoubleDouble(sign * 1e300) * DoubleDouble(1e10),
+        DoubleDouble(1e300) * DoubleDouble(sign * 1e10),
+    ):
+        assert (r.hi, r.lo) == (inf, 0.0)
+
+
+def test_dd_quotient_beyond_split_range_keeps_the_double_quotient():
+    # 1e305 is finite, but splitting it for the Newton correction overflows
+    r = DoubleDouble(1e-5) / DoubleDouble(1e-310)
+    assert (r.hi, r.lo) == (1e-5 / 1e-310, 0.0)
+
+
+@pytest.mark.parametrize("x", [1e-310, -1e-310, 5e-324])
+def test_dd_reciprocal_integrand_overflows_like_double(x):
+    node = parse("1/x")
+    r = as_integrand(node, DOUBLE_DOUBLE)(DoubleDouble(x))
+    assert float(r) == as_integrand(node, DOUBLE)(x) == math.copysign(math.inf, x)
 
 
 def test_dd_pow_int():
