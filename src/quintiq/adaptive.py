@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
 
 from .composite import CUBIC_PAIR, GAP_ORDER, QUINTIC_PAIR, CompositePair, composite_pair
 from .rules import Integrand, Interval
-from .scalars import DOUBLE
+from .scalars import DOUBLE, short_decimal
 
 
 class Method(Enum):
@@ -58,22 +57,13 @@ class BudgetExceeded(Exception):
 
     def __init__(self, n_max: int, epsilon, best_n: int, best_gap):
         super().__init__(
-            f"no n <= {n_max} reached gap <= 4*eps (eps = {_short(epsilon)}); "
-            f"best gap {_short(best_gap)} at n = {best_n}"
+            f"no n <= {n_max} reached gap <= 4*eps (eps = {short_decimal(epsilon)}); "
+            f"best gap {short_decimal(best_gap)} at n = {best_n}"
         )
         self.n_max = n_max
         self.epsilon = epsilon
         self.best_n = best_n
         self.best_gap = best_gap
-
-
-def _short(value) -> str:
-    """A scalar of any context to about 6 significant digits."""
-    f = float(value)
-    if f == 0.0 and value != 0:
-        # an mp value below the double range: its str keeps the exponent
-        return f"{Decimal(str(value)).normalize():.6g}"
-    return f"{f:.6g}"
 
 
 class GapProbe:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .scalars import DOUBLE
+from .scalars import DOUBLE, short_decimal
 
 
 class ExprError(Exception):
@@ -64,7 +64,7 @@ class DomainError(ExprError, ArithmeticError):
     """Evaluation left the function's domain; carries the abscissa."""
 
     def __init__(self, message: str, abscissa):
-        super().__init__(f"{message} (at x = {abscissa})")
+        super().__init__(f"{message} (at x = {short_decimal(abscissa)})")
         self.message = message
         self.abscissa = abscissa
 

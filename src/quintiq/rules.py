@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .scalars import DOUBLE
+from .scalars import DOUBLE, short_decimal
 
 #: Evaluation contract for integrands: a pure callable from one scalar of
 #: the active precision to another; re-entrant and free of shared state.
@@ -63,7 +63,9 @@ class IntegrandError(Exception):
 
     def __init__(self, abscissa, cause: BaseException, subinterval: int | None = None):
         where = f" in subinterval {subinterval}" if subinterval is not None else ""
-        super().__init__(f"integrand evaluation failed at x = {abscissa}{where}: {cause}")
+        super().__init__(
+            f"integrand evaluation failed at x = {short_decimal(abscissa)}{where}: {cause}"
+        )
         self.abscissa = abscissa
         self.subinterval = subinterval
         self.cause = cause

@@ -24,29 +24,10 @@ from math import ldexp
 _SPLITTER = 134217729.0  # 2**27 + 1; Dekker split constant, exact in binary64
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """Knuth two-sum: s + e == a + b exactly."""
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
 def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
     """Dekker fast two-sum; requires |a| >= |b| or a == 0."""
     s = a + b
     return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """Dekker product: p + e == a * b exactly (no fma on CPython 3.10)."""
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 class DoubleDouble:
@@ -55,7 +36,14 @@ class DoubleDouble:
     Standard double-double operating range: components must stay normal, so
     full accuracy holds for magnitudes roughly within [1e-270, 1e300];
     beyond that the low word degrades gracefully toward double precision,
-    and a product or quotient that overflows is +-inf, as in double.
+    and a sum, product or quotient that overflows is +-inf, as in double.
+
+    ``+ - * /`` are written out as straight-line code on plain floats, with
+    no helper calls and no intermediate DoubleDouble.  Each one performs the
+    float operations of its textbook composition of Dekker's error-free
+    transformations (two-sum, fast two-sum, split two-product) in the same
+    order, so its result is bitwise equal to that composition's, which the
+    tests keep as the reference.
     """
 
     __slots__ = ("hi", "lo")
@@ -92,15 +80,32 @@ class DoubleDouble:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        s, e = _two_sum(self.hi, o.hi)
-        t, f = _two_sum(self.lo, o.lo)
+        if type(other) is DoubleDouble:
+            bhi = other.hi
+            blo = other.lo
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+            bhi = o.hi
+            blo = o.lo
+        ahi = self.hi
+        alo = self.lo
+        s = ahi + bhi
+        v = s - ahi
+        e = (ahi - (s - v)) + (bhi - v)
+        t = alo + blo
+        v = t - alo
+        f = (alo - (t - v)) + (blo - v)
         e += t
-        s, e = _quick_two_sum(s, e)
+        u = s + e
+        e = e - (u - s)
         e += f
-        hi, lo = _quick_two_sum(s, e)
+        hi = u + e
+        lo = e - (hi - u)
+        if lo != lo:
+            # a nan tail: the sum overflowed; keep the plain sum
+            return DoubleDouble(s, 0.0)
         return DoubleDouble(hi, lo)
 
     __radd__ = __add__
@@ -109,10 +114,33 @@ class DoubleDouble:
         return DoubleDouble(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.__add__(DoubleDouble(-o.hi, -o.lo))
+        if type(other) is DoubleDouble:
+            bhi = -other.hi
+            blo = -other.lo
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+            bhi = -o.hi
+            blo = -o.lo
+        ahi = self.hi
+        alo = self.lo
+        s = ahi + bhi
+        v = s - ahi
+        e = (ahi - (s - v)) + (bhi - v)
+        t = alo + blo
+        v = t - alo
+        f = (alo - (t - v)) + (blo - v)
+        e += t
+        u = s + e
+        e = e - (u - s)
+        e += f
+        hi = u + e
+        lo = e - (hi - u)
+        if lo != lo:
+            # a nan tail: the sum overflowed; keep the plain sum
+            return DoubleDouble(s, 0.0)
+        return DoubleDouble(hi, lo)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -121,12 +149,24 @@ class DoubleDouble:
         return o.__sub__(self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p, e = _two_prod(self.hi, o.hi)
-        e += self.hi * o.lo + self.lo * o.hi
-        hi, lo = _quick_two_sum(p, e)
+        if type(other) is not DoubleDouble:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a = self.hi
+        b = other.hi
+        # two-product of the leading words, then the cross terms
+        p = a * b
+        c = _SPLITTER * a
+        ah = c - (c - a)
+        al = a - ah
+        c = _SPLITTER * b
+        bh = c - (c - b)
+        bl = b - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        e += a * other.lo + self.lo * b
+        hi = p + e
+        lo = e - (hi - p)
         if lo != lo:
             # a nan tail: the product overflowed, or a factor beyond ~1e300
             # overflowed its Dekker split; keep the plain product
@@ -136,20 +176,85 @@ class DoubleDouble:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.hi == 0.0:
+        if type(other) is not DoubleDouble:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d = other.hi
+        dlo = other.lo
+        if d == 0.0:
             raise ZeroDivisionError("double-double division by zero")
-        # long division with two Newton corrections
-        q1 = self.hi / o.hi
-        r = self - o * DoubleDouble(q1)
-        q2 = r.hi / o.hi
-        r = r - o * DoubleDouble(q2)
-        q3 = r.hi / o.hi
-        s, e = _quick_two_sum(q1, q2)
+        # long division with two Newton corrections: q1 = hi/d, then
+        # r = self - other*q1, q2 = r.hi/d, r -= other*q2, q3 = r.hi/d.
+        # The divisor is split once for both products.  Each product keeps
+        # the plain-product fallback of __mul__ and its cross term with the
+        # zero tail of q, d * 0.0, computed once as dz.
+        c = _SPLITTER * d
+        dh = c - (c - d)
+        dl = d - dh
+        dz = d * 0.0
+        ahi = self.hi
+        alo = self.lo
+        q1 = ahi / d
+        # p = other * q1
+        p = d * q1
+        c = _SPLITTER * q1
+        bh = c - (c - q1)
+        bl = q1 - bh
+        e = ((dh * bh - p) + dh * bl + dl * bh) + dl * bl
+        e += dz + dlo * q1
+        phi = p + e
+        plo = e - (phi - p)
+        if plo != plo:
+            phi = p
+            plo = 0.0
+        # r = self - p
+        bhi = -phi
+        blo = -plo
+        s = ahi + bhi
+        v = s - ahi
+        e = (ahi - (s - v)) + (bhi - v)
+        t = alo + blo
+        v = t - alo
+        f = (alo - (t - v)) + (blo - v)
+        e += t
+        u = s + e
+        e = e - (u - s)
+        e += f
+        rhi = u + e
+        rlo = e - (rhi - u)
+        q2 = rhi / d
+        # p = other * q2
+        p = d * q2
+        c = _SPLITTER * q2
+        bh = c - (c - q2)
+        bl = q2 - bh
+        e = ((dh * bh - p) + dh * bl + dl * bh) + dl * bl
+        e += dz + dlo * q2
+        phi = p + e
+        plo = e - (phi - p)
+        if plo != plo:
+            phi = p
+            plo = 0.0
+        # r -= p; only its leading word is used
+        bhi = -phi
+        blo = -plo
+        s = rhi + bhi
+        v = s - rhi
+        e = (rhi - (s - v)) + (bhi - v)
+        t = rlo + blo
+        v = t - rlo
+        f = (rlo - (t - v)) + (blo - v)
+        e += t
+        u = s + e
+        e = e - (u - s)
+        e += f
+        q3 = (u + e) / d
+        s = q1 + q2
+        e = q2 - (s - q1)
         e += q3
-        hi, lo = _quick_two_sum(s, e)
+        hi = s + e
+        lo = e - (hi - s)
         if lo != lo:
             # a nan tail: the quotient overflowed, or one beyond ~1e300 made
             # the corrections nan; keep the plain quotient
@@ -166,7 +271,12 @@ class DoubleDouble:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return DoubleDouble(1.0) / self.__pow__(-n)
+            pos = self.__pow__(-n)
+            if pos.hi == 0.0 and self.hi != 0.0:
+                # the positive power underflowed, so its reciprocal is out of
+                # range; float ** raises the same error
+                raise OverflowError("double-double power overflow")
+            return DoubleDouble(1.0) / pos
         result = DoubleDouble(1.0)
         base = self
         k = n
@@ -282,6 +392,9 @@ def dd_exp(x: DoubleDouble) -> DoubleDouble:
         rlo = e - (rhi - s)
     rhi *= 0.00390625  # 2**-8
     rlo *= 0.00390625
+    c = _SPLITTER * rhi
+    bh = c - (c - rhi)
+    bl = rhi - bh
     shi, slo = _EXP_COEF_FLAT[0]
     for chi, clo in _EXP_COEF_FLAT[1:]:
         # s = s*r + c, double-double throughout
@@ -289,9 +402,6 @@ def dd_exp(x: DoubleDouble) -> DoubleDouble:
         c = _SPLITTER * shi
         ah = c - (c - shi)
         al = shi - ah
-        c = _SPLITTER * rhi
-        bh = c - (c - rhi)
-        bl = rhi - bh
         e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
         e += shi * rlo + slo * rhi
         shi = p + e
@@ -444,6 +554,15 @@ class MPFloatContext:
 
 DOUBLE = DoubleContext()
 DOUBLE_DOUBLE = DoubleDoubleContext()
+
+
+def short_decimal(value) -> str:
+    """A scalar of any context to about 6 significant digits, for messages."""
+    f = float(value)
+    if f == 0.0 and value != 0:
+        # an mp value below the double range: its str keeps the exponent
+        return f"{Decimal(str(value)).normalize():.6g}"
+    return f"{f:.6g}"
 
 _MP_CACHE: dict[int, MPFloatContext] = {}
 

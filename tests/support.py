@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import mpmath
 
+from quintiq.scalars import DoubleDouble
+
 mpmath.mp.dps = 50
 
 # Paper benchmark tables: subdivisions for 1/x on [1,2] at eps = 1e-1..1e-16
@@ -127,3 +129,77 @@ def rel_err(value, reference) -> float:
     if r == 0.0:
         return abs(v)
     return abs(v - r) / abs(r)
+
+
+# Reference double-double operators: the composition of Dekker's error-free
+# transformations that DoubleDouble's written-out operators must reproduce
+# bit for bit.  Each takes two operands, at least one a DoubleDouble, coerces
+# them as the operators do, and returns the result as a (hi, lo) pair.
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def two_sum(a: float, b: float) -> tuple[float, float]:
+    """Knuth two-sum: s + e == a + b exactly."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def quick_two_sum(a: float, b: float) -> tuple[float, float]:
+    """Dekker fast two-sum; requires |a| >= |b| or a == 0."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def two_prod(a: float, b: float) -> tuple[float, float]:
+    """Dekker product: p + e == a * b exactly."""
+    p = a * b
+    ah = _SPLITTER * a
+    ah = ah - (ah - a)
+    al = a - ah
+    bh = _SPLITTER * b
+    bh = bh - (bh - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def ref_add(x, y) -> tuple[float, float]:
+    x, y = DoubleDouble._coerce(x), DoubleDouble._coerce(y)
+    s, e = two_sum(x.hi, y.hi)
+    t, f = two_sum(x.lo, y.lo)
+    e += t
+    s, e = quick_two_sum(s, e)
+    e += f
+    return quick_two_sum(s, e)
+
+
+def ref_sub(x, y) -> tuple[float, float]:
+    y = DoubleDouble._coerce(y)
+    return ref_add(x, DoubleDouble(-y.hi, -y.lo))
+
+
+def ref_mul(x, y) -> tuple[float, float]:
+    x, y = DoubleDouble._coerce(x), DoubleDouble._coerce(y)
+    p, e = two_prod(x.hi, y.hi)
+    e += x.hi * y.lo + x.lo * y.hi
+    hi, lo = quick_two_sum(p, e)
+    if lo != lo:
+        return p, 0.0
+    return hi, lo
+
+
+def ref_div(x, y) -> tuple[float, float]:
+    x, y = DoubleDouble._coerce(x), DoubleDouble._coerce(y)
+    if y.hi == 0.0:
+        raise ZeroDivisionError("double-double division by zero")
+    q1 = x.hi / y.hi
+    r = DoubleDouble(*ref_sub(x, DoubleDouble(*ref_mul(y, DoubleDouble(q1)))))
+    q2 = r.hi / y.hi
+    r = DoubleDouble(*ref_sub(r, DoubleDouble(*ref_mul(y, DoubleDouble(q2)))))
+    q3 = r.hi / y.hi
+    s, e = quick_two_sum(q1, q2)
+    e += q3
+    hi, lo = quick_two_sum(s, e)
+    if lo != lo:
+        return q1, 0.0
+    return hi, lo

@@ -197,6 +197,29 @@ class TestCliExitCodes:
         r = run_cli("integrate", "--fn", "ln(x-5)", "--a", "1", "--b", "2")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    def test_negative_power_of_an_underflowing_base_is_power_overflow(self, precision):
+        r = run_cli(
+            "integrate", "--fn", "x^-2", "--a", "1e-200", "--b", "1", "--precision", precision
+        )
+        assert r.returncode == 2
+        assert r.stderr == (
+            "error: integrand evaluation failed at x = 1e-200 in subinterval 1: "
+            "power overflow (at x = 1e-200)\n"
+        )
+
+    @pytest.mark.parametrize("precision", ["dd", "mp:40"])
+    def test_integrand_error_prints_the_abscissa_as_a_number(self, precision):
+        r = run_cli(
+            "integrate", "--fn", "1/(x-1e-200)", "--a", "1e-200", "--b", "1",
+            "--precision", precision,
+        )
+        assert r.returncode == 2
+        assert r.stderr == (
+            "error: integrand evaluation failed at x = 1e-200 in subinterval 1: "
+            "division by zero (at x = 1e-200)\n"
+        )
+
     def test_invalid_interval_is_2(self):
         r = run_cli("integrate", "--fn", "1/x", "--a", "2", "--b", "1")
         assert r.returncode == 2

@@ -1,9 +1,12 @@
+import hashlib
 import math
+import operator
+import struct
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quintiq.expr import as_integrand, parse
@@ -19,7 +22,7 @@ from quintiq.scalars import (
     parse_precision,
 )
 
-from support import dd_to_mpf
+from support import dd_to_mpf, ref_add, ref_div, ref_mul, ref_sub
 
 mpmath.mp.dps = 50
 
@@ -57,6 +60,95 @@ def test_dd_normalization_invariant(a, b):
     r = DoubleDouble(a) + DoubleDouble(b)
     if r.hi != 0.0 and math.isfinite(r.hi):
         assert abs(r.lo) <= math.ulp(abs(r.hi))
+
+
+@st.composite
+def dd_values(draw):
+    """A double-double with any hi but nan, and a tail within half an ulp
+    of it."""
+    hi = draw(st.floats(allow_nan=False))
+    return DoubleDouble(hi, draw(st.floats(-0.5, 0.5)) * math.ulp(hi))
+
+
+plain_operands = st.one_of(
+    st.integers(-(2**53), 2**53),
+    st.floats(),
+    st.integers(2**53, 2**120).flatmap(lambda n: st.sampled_from([n, -n])),
+)
+DD_OPS = {
+    "+": (operator.add, ref_add),
+    "-": (operator.sub, ref_sub),
+    "*": (operator.mul, ref_mul),
+    "/": (operator.truediv, ref_div),
+}
+
+
+def _bits(hi, lo):
+    # bit patterns, so that -0.0 and nan compare as themselves
+    return struct.pack("<dd", hi, lo)
+
+
+@given(
+    dd_values(),
+    st.one_of(dd_values(), plain_operands),
+    st.booleans(),
+    st.sampled_from(sorted(DD_OPS)),
+)
+@settings(max_examples=500)
+@example(DoubleDouble(1e300), DoubleDouble(1e10), False, "*")  # product overflows
+@example(DoubleDouble(-1e200), DoubleDouble(3e150, 1e134), False, "*")
+@example(DoubleDouble(1e-5), DoubleDouble(1e-310), False, "/")  # beyond the split range
+@example(DoubleDouble(2.0, 1e-16), DoubleDouble(1e300), False, "/")
+@example(DoubleDouble(2.0, 1e-16), DoubleDouble(-1e300), False, "/")
+@example(DoubleDouble(1e300, 3e283), DoubleDouble(-1e300), True, "/")
+@example(DoubleDouble(0.1, 0.0), DoubleDouble(3.0, -0.0), False, "/")  # zero tails
+@example(DoubleDouble(-0.0, 0.0), DoubleDouble(0.0, -0.0), False, "+")
+@example(DoubleDouble(-0.0, -0.0), DoubleDouble(3.0, -0.0), False, "/")
+@example(DoubleDouble(1e-300, 1e-317), DoubleDouble(3e-301, -2e-318), False, "-")  # subnormal tails
+@example(DoubleDouble(1e-300, 1e-317), DoubleDouble(7.0, 1e-16), False, "/")
+@example(DoubleDouble(1.0), DoubleDouble(0.0), False, "/")  # division by zero
+@example(DoubleDouble(1.0), 0, False, "/")
+@example(DoubleDouble(1e308), DoubleDouble(1e308), False, "+")  # sums that overflow
+@example(DoubleDouble(-1e308), DoubleDouble(1e308), False, "-")
+@example(DoubleDouble(1.5), 2**53 + 1, True, "-")  # an int beyond 2**53
+def test_dd_operators_match_the_eft_reference_bitwise(x, other, flip, op):
+    apply, ref = DD_OPS[op]
+    a, b = (other, x) if flip else (x, other)
+    try:
+        want_hi, want_lo = ref(a, b)
+    except (ArithmeticError, ValueError) as exc:
+        # a zero divisor, or a nan float the coercion cannot convert
+        with pytest.raises(type(exc)):
+            apply(a, b)
+        return
+    got = apply(a, b)
+    if op in "+-" and want_lo != want_lo:
+        # the one intended difference: a sum whose tail is nan (it
+        # overflowed) keeps the plain double sum, as a product does
+        ahi, bhi = DoubleDouble._coerce(a).hi, DoubleDouble._coerce(b).hi
+        want_hi, want_lo = ahi + (bhi if op == "+" else -bhi), 0.0
+    assert _bits(got.hi, got.lo) == _bits(want_hi, want_lo)
+
+
+# sha256 of the (hi, lo) bits of dd_exp, dd_sqrt and dd_ln on the points
+# below, frozen from the helper-based operators
+TRANSCENDENTAL_DIGEST = "925a0d6656aaf59e7aca9264b25aea303ae6b9b292a86db08c4d45b351e76381"
+
+
+def test_dd_transcendentals_keep_their_bits():
+    h = hashlib.sha256()
+    for k in range(200):
+        x = DOUBLE_DOUBLE.const(Fraction((k - 100) ** 3, 4000))  # [-250, 242]
+        y = DOUBLE_DOUBLE.const(Fraction(3 * k + 1, 7) * Fraction(10) ** (2 * k - 200))
+        for r in (dd_exp(x), dd_sqrt(y), dd_ln(y)):
+            h.update(_bits(r.hi, r.lo))
+    assert h.hexdigest() == TRANSCENDENTAL_DIGEST
+
+
+def test_dd_sum_overflow_through_the_expression_layer():
+    node = parse("x^2 + x^2")
+    r = as_integrand(node, DOUBLE_DOUBLE)(DoubleDouble(1.3e154))
+    assert float(r) == as_integrand(node, DOUBLE)(1.3e154) == math.inf
 
 
 @given(st.fractions())
@@ -137,6 +229,8 @@ def test_dd_domain_errors():
 def test_dd_overflow_is_infinite_not_nan(sign):
     inf = sign * math.inf
     for r in (
+        DoubleDouble(sign * 1e308) + DoubleDouble(sign * 1e308),
+        DoubleDouble(sign * 1e308) - DoubleDouble(-sign * 1e308),
         DoubleDouble(sign * 1e300) / DoubleDouble(1e-10),
         DoubleDouble(1e300) / DoubleDouble(sign * 1e-10),
         DoubleDouble(sign * 1e300) * DoubleDouble(1e10),
@@ -165,6 +259,15 @@ def test_dd_pow_int():
     inv = x**-3
     assert abs(dd_to_mpf(inv) - dd_to_mpf(x) ** -3) <= abs(dd_to_mpf(inv)) * mpmath.mpf("1e-29")
     assert float(x**0) == 1.0
+
+
+def test_dd_negative_power_of_an_underflowing_base_overflows_like_double():
+    with pytest.raises(OverflowError):
+        1e-200**-2
+    with pytest.raises(OverflowError):
+        DoubleDouble(1e-200) ** -2
+    with pytest.raises(ZeroDivisionError):
+        DoubleDouble(0.0) ** -2
 
 
 def test_dd_comparisons():
