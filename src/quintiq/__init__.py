@@ -13,6 +13,7 @@ from .adaptive import (
     BudgetExceeded,
     GapProbe,
     Method,
+    NonFiniteGap,
     SearchStrategy,
     integrate_adaptive,
     integrate_adaptive_cubic,
@@ -23,7 +24,6 @@ from .composite import (
     CompositePair,
     apriori_bound,
     composite_pair,
-    composite_rule,
     min_n_for_bound,
     partition_points,
 )
@@ -54,8 +54,6 @@ from .rules import (
     IntegrandError,
     Interval,
     RuleId,
-    RuleTable,
-    apply_rule,
     blend_q,
     rule_table,
 )
@@ -87,22 +85,20 @@ __all__ = [
     "Interval",
     "M6Estimate",
     "Method",
+    "NonFiniteGap",
     "NotDifferentiable",
     "QUINTIC_PAIR",
     "RuleId",
-    "RuleTable",
     "SearchStrategy",
     "SKIP_MARKER",
     "SourceSpan",
     "UnknownIdentifierError",
     "Verdict",
-    "apply_rule",
     "apriori_bound",
     "as_integrand",
     "blend_q",
     "check_n_convexity",
     "composite_pair",
-    "composite_rule",
     "differentiate",
     "divided_difference",
     "estimate_m6",

@@ -66,6 +66,19 @@ class BudgetExceeded(Exception):
         self.best_gap = best_gap
 
 
+class NonFiniteGap(ArithmeticError):
+    """The gap |L_n - G_n| is NaN or infinite, so no search can compare it
+    with the threshold: the integrand or the rule sums overflowed."""
+
+    def __init__(self, n: int, gap):
+        super().__init__(
+            f"gap |L_n - G_n| is {short_decimal(gap)} at n = {n}; "
+            "the integrand or the rule sums overflow at this precision"
+        )
+        self.n = n
+        self.gap = gap
+
+
 class GapProbe:
     """Memoized composite-pair evaluator; counts fresh integrand calls."""
 
@@ -87,7 +100,12 @@ class GapProbe:
 
     def gap(self, n: int):
         p = self.pair(n)
-        return abs(p.l_n - p.g_n)
+        gap = abs(p.l_n - p.g_n)
+        # gap - gap is 0 exactly when gap is finite in the context's own
+        # arithmetic; float() would turn a finite mp gap of 1e400 into inf
+        if not gap - gap == 0:
+            raise NonFiniteGap(n, gap)
+        return gap
 
 
 def _best(history):

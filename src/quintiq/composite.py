@@ -3,25 +3,16 @@
 A composite rule splits [a, b] into n equal subintervals with partition
 points computed as a + k*(b-a)/n (no cumulative stepping, and the last
 point is pinned to b), applies a simple rule on each piece and sums left to
-right.  ``composite_pair`` fuses an interior-node rule with an
-endpoint-including rule so shared endpoint evaluations are computed once;
-this changes the evaluation count, never the values.
+right.  ``composite_pair`` runs an interior-node rule and an
+endpoint-including rule in one pass, computing each shared endpoint value
+once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .rules import (
-    Integrand,
-    Interval,
-    IntegrandError,
-    RuleId,
-    apply_rule,
-    blend_q,
-    call_integrand,
-    rule_table,
-)
+from .rules import Integrand, Interval, RuleId, blend_q, call_integrand, rule_table
 from .scalars import DOUBLE
 
 #: (interior-node rule, endpoint-including rule) pairs driving the two
@@ -51,21 +42,6 @@ def partition_points(iv: Interval, n: int, ctx=DOUBLE) -> list:
     return [a] + [a + (k * width) / n for k in range(1, n)] + [b]
 
 
-def composite_rule(rule_id: RuleId, f: Integrand, iv: Interval, n: int, ctx=DOUBLE):
-    """Sum of the simple rule over the n-piece uniform partition."""
-    if n < 1:
-        raise ValueError(f"subdivision count must be >= 1, got {n}")
-    xs = partition_points(iv, n, ctx)
-    total = None
-    for k in range(1, n + 1):
-        try:
-            piece = apply_rule(rule_id, f, Interval(xs[k - 1], xs[k]), ctx)
-        except IntegrandError as exc:
-            raise IntegrandError(exc.abscissa, exc.cause, k) from exc.cause
-        total = piece if total is None else total + piece
-    return total
-
-
 def composite_pair(
     f: Integrand, iv: Interval, n: int, ctx=DOUBLE, rule_pair=QUINTIC_PAIR
 ) -> CompositePair:
@@ -74,23 +50,20 @@ def composite_pair(
     Partition-point values feed both adjacent subintervals of the
     endpoint-including rule, so the pair costs 6n+1 calls for Gauss/Lobatto
     (3n interior + 2n interior + n+1 endpoints) and 5n+1 for
-    Chebyshev/Simpson.  Values are bit-identical to ``composite_rule``.
+    Chebyshev/Simpson.  Each rule's value sums its simple rule over the
+    subintervals left to right.
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
     open_id, closed_id = rule_pair
-    open_points = rule_table(open_id, ctx).points
-    closed_points = rule_table(closed_id, ctx).points
+    open_points = rule_table(open_id, ctx)
+    closed_points = rule_table(closed_id, ctx)
     w_first = closed_points[0][1]
     w_last = closed_points[-1][1]
     closed_interior = closed_points[1:-1]
 
-    count = 0
     xs = partition_points(iv, n, ctx)
-    end_values = []
-    for k, x in enumerate(xs):
-        end_values.append(call_integrand(f, x, max(k, 1)))
-        count += 1
+    end_values = [call_integrand(f, x, max(k, 1)) for k, x in enumerate(xs)]
 
     g_total = l_total = q_total = None
     for k in range(1, n + 1):
@@ -101,14 +74,12 @@ def composite_pair(
         g_sum = None
         for node, weight in open_points:
             term = weight * call_integrand(f, m + h * node, k)
-            count += 1
             g_sum = term if g_sum is None else g_sum + term
         g_k = h * g_sum
 
         l_sum = w_first * end_values[k - 1]
         for node, weight in closed_interior:
             l_sum = l_sum + weight * call_integrand(f, m + h * node, k)
-            count += 1
         l_sum = l_sum + w_last * end_values[k]
         l_k = h * l_sum
 
@@ -117,6 +88,7 @@ def composite_pair(
         l_total = l_k if l_total is None else l_total + l_k
         q_total = q_k if q_total is None else q_total + q_k
 
+    count = (len(open_points) + len(closed_points) - 1) * n + 1
     return CompositePair(g_total, l_total, q_total, n, count)
 
 

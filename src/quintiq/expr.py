@@ -20,10 +20,10 @@ integer exponents are differentiable.
 
 Evaluation compiles a tree once per (tree, context) into a value-numbered
 tape (`as_integrand`): structurally equal subtrees share one register, and
-constants are converted once, when the tape is bound.  Derivative trees
-repeat whole subtrees (the sixth derivative of ``1/x`` has 36,961 nodes but
-312 distinct operations), so a call runs each distinct operation once.  The
-trees themselves are never rewritten.
+constants are folded exactly and converted once, when the tape is bound.
+Derivative trees repeat whole subtrees (the sixth derivative of ``1/x`` has
+36,961 nodes but 312 distinct operations), so a call runs each distinct
+operation once.  The trees themselves are never rewritten.
 """
 from __future__ import annotations
 
@@ -352,55 +352,6 @@ def parse(text: str) -> ExprNode:
 # Evaluation
 
 
-def fold(node: ExprNode) -> ExprNode:
-    """The tree with every literal-only subtree folded exactly, as `parse` does.
-
-    Trees from `parse` and `differentiate` come back unchanged (the same
-    object); a tree built with the raw node constructors gets the constants
-    that reading its `to_text` back would give, so both evaluate alike.
-    Binding a tree (`as_integrand`, `evaluate`) folds it first.
-    """
-    return _fold(node, {})
-
-
-def _fold(node, memo):
-    # memoized per node object so shared subtrees stay shared
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        left, right = _fold(node.left, memo), _fold(node.right, memo)
-        if left is node.left and right is node.right and not (
-            isinstance(left, Constant) and isinstance(right, Constant)
-        ):
-            out = node
-        else:
-            out = _MK_BINARY[type(node)](left, right, node.span)
-    elif isinstance(node, Pow):
-        base = _fold(node.base, memo)
-        if base is node.base and not isinstance(base, Constant):
-            out = node
-        else:
-            out = _mk_pow(base, node.exponent, node.span)
-    elif isinstance(node, (Neg, Plus, Exp, Ln)):
-        child = _fold(node.child, memo)
-        if isinstance(child, Constant) and type(node) in _MK_UNARY:
-            out = _MK_UNARY[type(node)](child, node.span)
-        elif child is node.child:
-            out = node
-        else:
-            out = type(node)(child, node.span)
-    else:
-        out = node
-    memo[key] = out
-    return out
-
-
-_MK_BINARY = {Add: _mk_add, Sub: _mk_sub, Mul: _mk_mul, Div: _mk_div}
-_MK_UNARY = {Neg: _mk_neg, Plus: _mk_plus}
-
-
 def evaluate(node: ExprNode, x, ctx=DOUBLE):
     """Evaluate at abscissa x under the given precision context.
 
@@ -413,16 +364,16 @@ def evaluate(node: ExprNode, x, ctx=DOUBLE):
 def as_integrand(node: ExprNode, ctx=DOUBLE):
     """Bind a tree to a context, yielding a plain scalar -> scalar callable.
 
-    The tree is folded (see `fold`) and compiled once into a value-numbered
-    tape: one instruction per structurally distinct subtree, in the
-    post-order in which a recursive walk first meets it, with every constant
-    bound by ``ctx.const`` here.  Each call then runs the tape once.  Every
-    operation is a deterministic function of its operands, so sharing equal
-    subtrees changes no value, and the first domain error raised is the one
-    a recursive walk would raise.  Reuse the callable: binding costs a walk
-    over the tree.
+    The tree is compiled once into a value-numbered tape: one instruction
+    per structurally distinct subtree, in the post-order in which a
+    recursive walk first meets it, with literal-only subtrees folded exactly
+    as `parse` folds them and every constant bound by ``ctx.const`` here.
+    Each call then runs the tape once.  Every operation is a deterministic
+    function of its operands, so sharing equal subtrees changes no value,
+    and the first domain error raised is the one a recursive walk would
+    raise.  Reuse the callable: binding costs a walk over the tree.
     """
-    init, tape, out = _compile(fold(node), ctx)
+    init, tape, out = _compile(node, ctx)
     const, exp, ln = ctx.const, ctx.exp, ctx.ln
 
     def run(x):
@@ -489,26 +440,32 @@ def as_integrand(node: ExprNode, ctx=DOUBLE):
 # exponent with the bound zero, None for a negative exponent (_ROOT).
 _MUL, _ADD, _SUB, _POW, _DIV, _NEG, _EXP, _LN, _PLUS, _ROOT = range(10)
 _BINARY_OPS = {Mul: _MUL, Add: _ADD, Sub: _SUB, Div: _DIV}
-_UNARY_OPS = {Neg: _NEG, Exp: _EXP, Ln: _LN}
+_UNARY_OPS = {Neg: _NEG, Exp: _EXP, Ln: _LN, Plus: _PLUS}
+# the smart constructor of each node type that folds (exp and ln never do)
+_FOLDS = {Add: _mk_add, Sub: _mk_sub, Mul: _mk_mul, Div: _mk_div, Neg: _mk_neg, Plus: _mk_plus}
 
 
 def _compile(root, ctx):
-    """(initial registers, tape, output register) of a folded tree."""
+    """(initial registers, tape, output register) of a tree."""
     compiler = _Compiler(ctx)
     out = compiler.walk(root)
     return compiler.init, tuple(compiler.tape), out
 
 
 class _Compiler:
-    """Value numbering of one tree.
+    """Value numbering of one tree, folding literal-only subtrees as it goes.
 
     Register 0 holds x; the other initial registers hold the bound
     constants, or None where an instruction writes.  A node's register is
     keyed on its structure -- type, operand registers, constant value or
     exponent -- so structurally equal subtrees share one register and one
-    instruction.  (A class rather than closures: a recursive closure is a
-    reference cycle, which would keep every compiled tree's tables alive
-    until the next full garbage collection.)
+    instruction.  A node whose operands all sit in constant registers is
+    handed to its smart constructor (`_mk_add` and the others, which `parse`
+    and `differentiate` build with); when that folds it, the node takes the
+    register of the folded constant, so a raw tree evaluates as the tree its
+    `to_text` parses back to.  (A class rather than closures: a recursive
+    closure is a reference cycle, which would keep every compiled tree's
+    tables alive until the next full garbage collection.)
     """
 
     def __init__(self, ctx):
@@ -517,6 +474,7 @@ class _Compiler:
         self.init = [None]
         self.tape = []
         self.numbers = {(Variable,): 0}  # structural key -> register
+        self.exact = {}  # constant register -> its exact value, as a Constant
         self.seen = {}  # id(node) -> register; the tree is a DAG of shared objects
 
     def constant(self, value: Fraction) -> int:
@@ -525,7 +483,13 @@ class _Compiler:
         if slot is None:
             slot = self.numbers[key] = len(self.init)
             self.init.append(self.ctx.const(value))
+            self.exact[slot] = Constant(value)
         return slot
+
+    def fold(self, node):
+        """The register of a smart constructor's result if it is a constant,
+        else None: the constructor kept the operation."""
+        return self.constant(node.value) if type(node) is Constant else None
 
     def emit(self, key, op, a, b) -> int:
         slot = self.numbers.get(key)
@@ -540,6 +504,7 @@ class _Compiler:
         if slot is not None:
             return slot
         kind = type(node)
+        exact = self.exact
         if kind is Constant:
             slot = self.constant(node.value)
         elif kind is Variable:
@@ -547,21 +512,28 @@ class _Compiler:
         elif kind in _BINARY_OPS:
             a = self.walk(node.left)
             b = self.walk(node.right)
-            slot = self.emit((kind, a, b), _BINARY_OPS[kind], a, b)
+            if a in exact and b in exact:
+                slot = self.fold(_FOLDS[kind](exact[a], exact[b]))
+            if slot is None:
+                slot = self.emit((kind, a, b), _BINARY_OPS[kind], a, b)
         elif kind is Pow:
             a = self.walk(node.base)
             k = node.exponent
-            if k.denominator == 1:
-                slot = self.emit((Pow, a, k), _POW, a, int(k))
-            else:
-                bound = (self.ctx.const(k), self.zero if k > 0 else None)
-                slot = self.emit((Pow, a, k), _ROOT, a, bound)
-        elif kind is Plus:
-            a = self.walk(node.child)
-            slot = self.emit((Plus, a), _PLUS, a, self.zero)
+            if a in exact:
+                slot = self.fold(_mk_pow(exact[a], k))
+            if slot is None:
+                if k.denominator == 1:
+                    slot = self.emit((Pow, a, k), _POW, a, int(k))
+                else:
+                    bound = (self.ctx.const(k), self.zero if k > 0 else None)
+                    slot = self.emit((Pow, a, k), _ROOT, a, bound)
         elif kind in _UNARY_OPS:
             a = self.walk(node.child)
-            slot = self.emit((kind, a), _UNARY_OPS[kind], a, None)
+            if a in exact and kind in _FOLDS:
+                slot = self.fold(_FOLDS[kind](exact[a]))
+            if slot is None:
+                zero = self.zero if kind is Plus else None
+                slot = self.emit((kind, a), _UNARY_OPS[kind], a, zero)
         else:
             raise TypeError(f"not an expression node: {node!r}")
         self.seen[id(node)] = slot

@@ -36,14 +36,6 @@ class RuleId(Enum):
 
 
 @dataclass(frozen=True)
-class RuleTable:
-    """Canonical nodes/weights of a simple rule on [-1, 1], nodes ascending."""
-
-    rule_id: RuleId
-    points: tuple  # ((node, weight), ...) as context scalars
-
-
-@dataclass(frozen=True)
 class Interval:
     """Validated integration interval [a, b] with a < b, both finite."""
 
@@ -71,18 +63,18 @@ class IntegrandError(Exception):
         self.cause = cause
 
 
-_TABLE_CACHE: dict[tuple[RuleId, str], RuleTable] = {}
+_TABLE_CACHE: dict[tuple[RuleId, str], tuple] = {}
 
 
-def rule_table(rule_id: RuleId, ctx=DOUBLE) -> RuleTable:
-    """Canonical table of the rule, built in the context's precision."""
+def rule_table(rule_id: RuleId, ctx=DOUBLE) -> tuple:
+    """Canonical ((node, weight), ...) of the rule on [-1, 1], nodes
+    ascending, built in the context's precision."""
     # keyed on the name: an id() can be reused by a context of another precision
     key = (rule_id, ctx.name)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = RuleTable(rule_id, _build_points(rule_id, ctx))
-        _TABLE_CACHE[key] = table
-    return table
+    points = _TABLE_CACHE.get(key)
+    if points is None:
+        points = _TABLE_CACHE[key] = _build_points(rule_id, ctx)
+    return points
 
 
 def _build_points(rule_id: RuleId, ctx) -> tuple:
@@ -113,28 +105,6 @@ def call_integrand(f: Integrand, x, subinterval: int | None = None):
         raise
     except (ArithmeticError, ValueError) as exc:
         raise IntegrandError(x, exc, subinterval) from exc
-
-
-def apply_rule(rule_id: RuleId, f: Integrand, iv: Interval, ctx=DOUBLE):
-    """((b-a)/2) * sum of w_k f(m + h*t_k), summed left to right.
-
-    Nodes at t = -1 / +1 map to the endpoints a / b exactly, so composite
-    rules can share endpoint evaluations without changing any value.
-    """
-    a, b = ctx.const(iv.a), ctx.const(iv.b)
-    h = (b - a) / 2
-    m = (a + b) / 2
-    total = None
-    for node, weight in rule_table(rule_id, ctx).points:
-        if node == -1:
-            x = a
-        elif node == 1:
-            x = b
-        else:
-            x = m + h * node
-        term = weight * call_integrand(f, x)
-        total = term if total is None else total + term
-    return h * total
 
 
 def blend_q(g_value, l_value):

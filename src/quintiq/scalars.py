@@ -72,7 +72,9 @@ class DoubleDouble:
     def _coerce(other):
         if isinstance(other, DoubleDouble):
             return other
-        if isinstance(other, (int, float)):
+        if isinstance(other, float):  # converts exactly, nan included
+            return DoubleDouble(other)
+        if isinstance(other, int):
             f = float(other)
             if f != other:  # int too large for exact float conversion
                 return DoubleDouble.from_fraction(Fraction(other))
@@ -270,21 +272,22 @@ class DoubleDouble:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            pos = self.__pow__(-n)
-            if pos.hi == 0.0 and self.hi != 0.0:
-                # the positive power underflowed, so its reciprocal is out of
-                # range; float ** raises the same error
-                raise OverflowError("double-double power overflow")
-            return DoubleDouble(1.0) / pos
         result = DoubleDouble(1.0)
         base = self
-        k = n
+        k = abs(n)
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
+            base = base * base  # the last squaring is unused and may overflow
             k >>= 1
+        # a power out of range raises, as float ** does
+        if n < 0:
+            if result.hi == 0.0 and self.hi != 0.0:
+                # the positive power underflowed, so its reciprocal overflows
+                raise OverflowError("double-double power overflow")
+            return DoubleDouble(1.0) / result
+        if math.isinf(result.hi) and math.isfinite(self.hi):
+            raise OverflowError("double-double power overflow")
         return result
 
     def __abs__(self):

@@ -1,10 +1,13 @@
-"""Shared test oracles and frozen reference values.
+"""Shared test oracles, reference implementations and frozen values.
 
-Everything here is independent of the package's quadrature path: the exact
+The oracles are independent of the package's quadrature path: the exact
 polynomial oracle works in Fraction arithmetic from the rules' algebraic
 definitions (symmetric node pairs have rational squared offsets, so even
 powers rationalize), and transcendental references are mpmath at 50 digits
-or frozen decimal strings derived from it.
+or frozen decimal strings derived from it.  The references -- one simple
+rule per subinterval, and double-double operators composed from Dekker's
+error-free transformations -- are the plain forms that the package's fused
+composite pass and written-out operators must reproduce bit for bit.
 """
 from __future__ import annotations
 
@@ -13,7 +16,9 @@ from fractions import Fraction
 
 import mpmath
 
-from quintiq.scalars import DoubleDouble
+from quintiq.composite import partition_points
+from quintiq.rules import IntegrandError, Interval, call_integrand, rule_table
+from quintiq.scalars import DOUBLE, DoubleDouble
 
 mpmath.mp.dps = 50
 
@@ -203,3 +208,44 @@ def ref_div(x, y) -> tuple[float, float]:
     if lo != lo:
         return q1, 0.0
     return hi, lo
+
+
+# Reference rules: each simple rule applied on its own, and the composite
+# rule as their left-to-right sum, which composite_pair must match bitwise.
+
+
+def apply_rule(rule_id, f, iv: Interval, ctx=DOUBLE):
+    """((b-a)/2) * sum of w_k f(m + h*t_k), summed left to right.
+
+    Nodes at t = -1 / +1 map to the endpoints a / b exactly, so composite
+    rules can share endpoint evaluations without changing any value.
+    """
+    a, b = ctx.const(iv.a), ctx.const(iv.b)
+    h = (b - a) / 2
+    m = (a + b) / 2
+    total = None
+    for node, weight in rule_table(rule_id, ctx):
+        if node == -1:
+            x = a
+        elif node == 1:
+            x = b
+        else:
+            x = m + h * node
+        term = weight * call_integrand(f, x)
+        total = term if total is None else total + term
+    return h * total
+
+
+def composite_rule(rule_id, f, iv: Interval, n: int, ctx=DOUBLE):
+    """Sum of the simple rule over the n-piece uniform partition."""
+    if n < 1:
+        raise ValueError(f"subdivision count must be >= 1, got {n}")
+    xs = partition_points(iv, n, ctx)
+    total = None
+    for k in range(1, n + 1):
+        try:
+            piece = apply_rule(rule_id, f, Interval(xs[k - 1], xs[k]), ctx)
+        except IntegrandError as exc:
+            raise IntegrandError(exc.abscissa, exc.cause, k) from exc.cause
+        total = piece if total is None else total + piece
+    return total

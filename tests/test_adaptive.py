@@ -11,6 +11,7 @@ from quintiq.adaptive import (
     BudgetExceeded,
     GapProbe,
     Method,
+    NonFiniteGap,
     SearchStrategy,
     integrate_adaptive,
     integrate_adaptive_cubic,
@@ -18,7 +19,7 @@ from quintiq.adaptive import (
 )
 from quintiq.composite import QUINTIC_PAIR
 from quintiq.rules import Interval
-from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE
+from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, mp_context
 
 import corpus as corpus_mod
 from support import GAP_1X_N1, GAP_1X_N4, dd_to_mpf
@@ -298,3 +299,23 @@ class TestBudget:
     def test_budget_not_hit_when_exact(self):
         r = integrate_adaptive(lambda x: x, Interval(0.0, 1.0), "1e-12", LINEAR, n_max=1)
         assert r.n_final == 1
+
+
+class TestNonFiniteGap:
+    def test_overflowing_integrand_fails_at_the_first_probe(self):
+        # x*x overflows to inf on the whole interval, so every gap is nan;
+        # the CLI tests cover both strategies and backends
+        ctx = DOUBLE_DOUBLE
+        iv = Interval(ctx.const("1e200"), ctx.const("2e200"))
+        with pytest.raises(NonFiniteGap) as exc_info:
+            integrate_adaptive(lambda x: x * x, iv, "1e-8", DOUBLING, ctx=ctx)
+        assert exc_info.value.n == 1
+        assert isinstance(exc_info.value, ArithmeticError)
+
+    def test_finite_gap_beyond_the_double_range_is_kept(self):
+        ctx = mp_context(40)
+        big = ctx.const("1e400")
+        probe = GapProbe(lambda x: big / x, Interval(ctx.const(1), ctx.const(2)), ctx)
+        gap = probe.gap(1)
+        assert float(gap) == math.inf  # but finite in mp:40
+        assert abs(gap - big / 16632) <= big * ctx.const("1e-35")

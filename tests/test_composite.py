@@ -8,13 +8,12 @@ from quintiq.composite import (
     CUBIC_PAIR,
     apriori_bound,
     composite_pair,
-    composite_rule,
     min_n_for_bound,
     partition_points,
 )
 from quintiq.convexity import estimate_m6
 from quintiq.expr import parse
-from quintiq.rules import IntegrandError, Interval, RuleId, apply_rule
+from quintiq.rules import IntegrandError, Interval, RuleId
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE
 
 import corpus as corpus_mod
@@ -25,6 +24,8 @@ from support import (
     GAP_1X_N4,
     L_1X_12,
     Q_1X_12,
+    apply_rule,
+    composite_rule,
     dd_to_mpf,
     rel_err,
 )
@@ -63,6 +64,8 @@ class TestCompositeRule:
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
+            composite_pair(_inv(DOUBLE), Interval(1.0, 2.0), 0)
+        with pytest.raises(ValueError):
             composite_rule(RuleId.GAUSS3, _inv(DOUBLE), Interval(1.0, 2.0), 0)
 
     def test_error_carries_subinterval_index(self):
@@ -71,10 +74,14 @@ class TestCompositeRule:
                 raise ValueError("pole")
             return 1.0
 
-        with pytest.raises(IntegrandError) as exc_info:
-            composite_rule(RuleId.LOBATTO4, bad, Interval(1.0, 2.0), 2)
-        assert exc_info.value.subinterval == 1
-        assert exc_info.value.abscissa == 1.5
+        for run in (
+            lambda: composite_pair(bad, Interval(1.0, 2.0), 2),
+            lambda: composite_rule(RuleId.LOBATTO4, bad, Interval(1.0, 2.0), 2),
+        ):
+            with pytest.raises(IntegrandError) as exc_info:
+                run()
+            assert exc_info.value.subinterval == 1
+            assert exc_info.value.abscissa == 1.5
 
     def test_paper_gap_row_n4(self):
         # at eps = 1e-8 the criterion first holds at n = 4
@@ -137,11 +144,16 @@ class TestCompositePair:
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_evaluation_counts(self, n):
         iv = Interval(1.0, 2.0)
-        assert composite_pair(_inv(DOUBLE), iv, n).evaluation_count == 6 * n + 1
-        assert (
-            composite_pair(_inv(DOUBLE), iv, n, DOUBLE, CUBIC_PAIR).evaluation_count
-            == 5 * n + 1
-        )
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / x
+
+        assert composite_pair(f, iv, n).evaluation_count == 6 * n + 1 == len(calls)
+        calls.clear()
+        cpair = composite_pair(f, iv, n, DOUBLE, CUBIC_PAIR)
+        assert cpair.evaluation_count == 5 * n + 1 == len(calls)
 
     @pytest.mark.parametrize("fn", corpus_mod.CORPUS, ids=lambda f: f.name)
     def test_blend_per_subinterval_equals_blend_of_totals(self, fn):

@@ -4,9 +4,11 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
+from quintiq.cli import main
 from quintiq.experiments import SKIP_MARKER, experiment1, experiment2
 from quintiq.scalars import DOUBLE, mp_context
 
@@ -218,6 +220,34 @@ class TestCliExitCodes:
         assert r.stderr == (
             "error: integrand evaluation failed at x = 1e-200 in subinterval 1: "
             "division by zero (at x = 1e-200)\n"
+        )
+
+    @pytest.mark.parametrize("strategy", ["linear", "doubling"])
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    def test_non_finite_gap_is_2_at_the_first_probe(self, precision, strategy, capsys):
+        # x*x overflows on the whole interval; the default --n-max is 10**6
+        t0 = time.perf_counter()
+        code = main([
+            "integrate", "--fn", "x*x", "--a", "1e200", "--b", "2e200",
+            "--precision", precision, "--strategy", strategy,
+        ])
+        elapsed = time.perf_counter() - t0
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: gap |L_n - G_n| is nan at n = 1; "
+            "the integrand or the rule sums overflow at this precision\n"
+        )
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    def test_overflowing_power_is_2(self, precision, capsys):
+        code = main([
+            "integrate", "--fn", "x^2", "--a", "1e200", "--b", "2e200", "--precision", precision,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: integrand evaluation failed at x = 1e+200 in subinterval 1: "
+            "power overflow (at x = 1e+200)\n"
         )
 
     def test_invalid_interval_is_2(self):

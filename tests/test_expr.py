@@ -23,10 +23,10 @@ from quintiq.expr import (
     UnknownIdentifierError,
     Variable,
     _compile,
+    _Compiler,
     as_integrand,
     differentiate,
     evaluate,
-    fold,
     parse,
     to_text,
 )
@@ -302,18 +302,43 @@ def test_random_tree_round_trip(node):
         assert evaluate(again, xv) == expected
 
 
+def _literals(node):
+    """The values of the tree's Constant nodes."""
+    if isinstance(node, Constant):
+        return {node.value}
+    kids = [getattr(node, a) for a in ("left", "right", "child", "base") if hasattr(node, a)]
+    return set().union(*map(_literals, kids))
+
+
+def _constants_bound(node):
+    """The exact values of the constant registers compiling the tree binds."""
+    compiler = _Compiler(DOUBLE)
+    compiler.walk(node)
+    return {c.value for c in compiler.exact.values()}
+
+
 def test_fold_matches_parse_and_keeps_folded_trees():
     raw = Add(Variable(), Mul(Constant(Fraction(1, 3)), Pow(Constant(Fraction(2)), Fraction(-2))))
-    folded = fold(raw)
-    assert folded == Add(Variable(), Constant(Fraction(1, 12)))
-    assert folded == parse(to_text(raw))
+    parsed_raw = parse(to_text(raw))
+    assert parsed_raw == Add(Variable(), Constant(Fraction(1, 12)))
+    # the compiler folds the literal subtree to the constant parse gives
+    compiler = _Compiler(DOUBLE_DOUBLE)
+    out = compiler.walk(raw)
+    [(_op, dst, a, b)] = compiler.tape
+    assert (dst, a, compiler.exact[b]) == (out, 0, Constant(Fraction(1, 12)))
+    for xv in ("0.37", "-1.25", "2"):
+        x = DOUBLE_DOUBLE.const(xv)
+        assert _bits(as_integrand(raw, DOUBLE_DOUBLE)(x)) == _bits(
+            as_integrand(parsed_raw, DOUBLE_DOUBLE)(x)
+        )
+    # trees from parse and differentiate have nothing left to fold
     parsed = parse("exp(-x^2) / (1 + x) + ln(x)")
-    assert fold(parsed) is parsed
+    assert _constants_bound(parsed) == _literals(parsed)
     d2 = differentiate(differentiate(parsed))
-    assert fold(d2) is d2
-    # unfoldable literal subtrees stay as they are and fail at evaluation
+    assert _constants_bound(d2) == _literals(d2)
+    # unfoldable literal subtrees are compiled as they are and fail at evaluation
     zero_div = Div(Constant(Fraction(1)), Constant(Fraction(0)))
-    assert fold(zero_div) == zero_div
+    assert len(_compile(zero_div, DOUBLE)[1]) == 1
     with pytest.raises(DomainError):
         evaluate(zero_div, 0.5)
 
@@ -418,7 +443,8 @@ _CONTEXTS = {"double": DOUBLE, "dd": DOUBLE_DOUBLE, "mp:30": mp_context(30)}
 def test_tape_matches_recursive_reference_bitwise(node, precision, abscissae):
     ctx = _CONTEXTS[precision]
     f = as_integrand(node, ctx)
-    folded = fold(node)
+    # reading the printed tree back folds its literal subtrees as parse does
+    folded = parse(to_text(node))
     for xv in abscissae:
         x = ctx.const(xv)
         expected = _outcome(lambda x: _reference(folded, x, ctx), x)
@@ -446,7 +472,7 @@ def test_sixth_derivative_of_reciprocal_compiles_small():
         d6 = differentiate(d6)
     # the tree itself is not simplified; only its evaluation plan is shared
     assert _tree_size(d6) == (36961, 7272)
-    init, _tape, _out = _compile(fold(d6), DOUBLE)
+    init, _tape, _out = _compile(d6, DOUBLE)
     assert len(init) <= 400
     for ctx in (DOUBLE, DOUBLE_DOUBLE, mp_context(30)):
         f = as_integrand(d6, ctx)

@@ -11,7 +11,6 @@ from quintiq.rules import (
     IntegrandError,
     Interval,
     RuleId,
-    apply_rule,
     blend_q,
     rule_table,
 )
@@ -21,6 +20,7 @@ import corpus as corpus_mod
 from support import (
     G_1X_12,
     L_1X_12,
+    apply_rule,
     dd_to_mpf,
     exact_integral_poly,
     exact_rule_poly,
@@ -47,7 +47,7 @@ class TestRuleTables:
     @pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: c.name)
     @pytest.mark.parametrize("rule_id", ALL_RULES)
     def test_weights_sum_to_two(self, rule_id, ctx):
-        points = rule_table(rule_id, ctx).points
+        points = rule_table(rule_id, ctx)
         total = None
         for _, w in points:
             total = w if total is None else total + w
@@ -56,7 +56,7 @@ class TestRuleTables:
     @pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: c.name)
     @pytest.mark.parametrize("rule_id", ALL_RULES)
     def test_nodes_ascending_and_symmetric(self, rule_id, ctx):
-        points = rule_table(rule_id, ctx).points
+        points = rule_table(rule_id, ctx)
         nodes = [n for n, _ in points]
         weights = [w for _, w in points]
         for i in range(len(nodes) - 1):
@@ -66,32 +66,32 @@ class TestRuleTables:
             assert weights[i] == weights[len(weights) - 1 - i]
 
     def test_gauss3_canonical_values(self):
-        points = rule_table(RuleId.GAUSS3).points
+        points = rule_table(RuleId.GAUSS3)
         assert points[1] == (0.0, pytest.approx(8 / 9, rel=1e-16))
         assert points[0][0] == pytest.approx(-math.sqrt(3 / 5), rel=1e-15)
         assert points[0][1] == pytest.approx(5 / 9, rel=1e-16)
 
     def test_lobatto4_canonical_values(self):
-        points = rule_table(RuleId.LOBATTO4).points
+        points = rule_table(RuleId.LOBATTO4)
         assert points[0][0] == -1.0 and points[-1][0] == 1.0
         assert points[0][1] == pytest.approx(1 / 6, rel=1e-16)
         assert points[1][0] == pytest.approx(-1 / math.sqrt(5), rel=1e-15)
         assert points[1][1] == pytest.approx(5 / 6, rel=1e-16)
 
     def test_chebyshev3_canonical_values(self):
-        points = rule_table(RuleId.CHEBYSHEV3).points
+        points = rule_table(RuleId.CHEBYSHEV3)
         assert [w for _, w in points] == [pytest.approx(2 / 3, rel=1e-16)] * 3
         assert points[0][0] == pytest.approx(-math.sqrt(2) / 2, rel=1e-15)
         assert points[1][0] == 0.0
 
     def test_simpson_canonical_values(self):
-        points = rule_table(RuleId.SIMPSON).points
+        points = rule_table(RuleId.SIMPSON)
         assert [float(n) for n, _ in points] == [-1.0, 0.0, 1.0]
         assert points[1][1] == pytest.approx(4 / 3, rel=1e-16)
 
     def test_nodes_derived_in_context_precision(self):
         # dd nodes must carry ~31 digits, not a double-rounded literal
-        node = rule_table(RuleId.GAUSS3, DOUBLE_DOUBLE).points[2][0]
+        node = rule_table(RuleId.GAUSS3, DOUBLE_DOUBLE)[2][0]
         ref = mpmath.sqrt(mpmath.mpf(3) / 5)
         assert abs(dd_to_mpf(node) - ref) < mpmath.mpf("1e-31")
         assert node.lo != 0.0
@@ -101,7 +101,7 @@ class TestRuleTables:
         # each must still get nodes built at its own precision
         for _ in range(8):
             for digits in (20, 60):
-                node = rule_table(RuleId.GAUSS3, MPFloatContext(digits)).points[0][0]
+                node = rule_table(RuleId.GAUSS3, MPFloatContext(digits))[0][0]
                 with mpmath.workdps(80):
                     err = abs(mpmath.mpf(node) + mpmath.sqrt(mpmath.mpf(3) / 5))
                     assert err < mpmath.mpf(10) ** (2 - digits)

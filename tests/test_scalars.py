@@ -111,20 +111,22 @@ def _bits(hi, lo):
 @example(DoubleDouble(1e308), DoubleDouble(1e308), False, "+")  # sums that overflow
 @example(DoubleDouble(-1e308), DoubleDouble(1e308), False, "-")
 @example(DoubleDouble(1.5), 2**53 + 1, True, "-")  # an int beyond 2**53
+@example(DoubleDouble(1.0), math.nan, False, "*")  # a nan float gives nan
+@example(DoubleDouble(2.0, 1e-16), math.nan, True, "+")
 def test_dd_operators_match_the_eft_reference_bitwise(x, other, flip, op):
     apply, ref = DD_OPS[op]
     a, b = (other, x) if flip else (x, other)
     try:
         want_hi, want_lo = ref(a, b)
-    except (ArithmeticError, ValueError) as exc:
-        # a zero divisor, or a nan float the coercion cannot convert
-        with pytest.raises(type(exc)):
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
             apply(a, b)
         return
     got = apply(a, b)
     if op in "+-" and want_lo != want_lo:
         # the one intended difference: a sum whose tail is nan (it
-        # overflowed) keeps the plain double sum, as a product does
+        # overflowed, or an operand is nan) keeps the plain double sum, as a
+        # product does
         ahi, bhi = DoubleDouble._coerce(a).hi, DoubleDouble._coerce(b).hi
         want_hi, want_lo = ahi + (bhi if op == "+" else -bhi), 0.0
     assert _bits(got.hi, got.lo) == _bits(want_hi, want_lo)
@@ -261,6 +263,21 @@ def test_dd_pow_int():
     assert float(x**0) == 1.0
 
 
+def test_dd_positive_power_overflows_like_double():
+    with pytest.raises(OverflowError):
+        1e200**2
+    for base in (1e200, -1e200):
+        with pytest.raises(OverflowError):
+            DoubleDouble(base) ** 2
+    # the result is in range; only the last, unused squaring overflows
+    r = DoubleDouble(1e100) ** 3
+    assert math.isfinite(r.hi) and r.hi == 1e100**3
+    # a negative power whose positive power overflows underflows to zero
+    assert 1e200**-2 == 0.0
+    r = DoubleDouble(1e200) ** -2
+    assert (r.hi, r.lo) == (0.0, 0.0)
+
+
 def test_dd_negative_power_of_an_underflowing_base_overflows_like_double():
     with pytest.raises(OverflowError):
         1e-200**-2
@@ -268,6 +285,12 @@ def test_dd_negative_power_of_an_underflowing_base_overflows_like_double():
         DoubleDouble(1e-200) ** -2
     with pytest.raises(ZeroDivisionError):
         DoubleDouble(0.0) ** -2
+
+
+def test_dd_arithmetic_with_a_nan_float_is_nan():
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((DoubleDouble(1.5), math.nan), (math.nan, DoubleDouble(1.5))):
+            assert math.isnan(op(a, b).hi)
 
 
 def test_dd_comparisons():
