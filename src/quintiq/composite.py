@@ -6,6 +6,14 @@ point is pinned to b), applies a simple rule on each piece and sums left to
 right.  ``composite_pair`` runs an interior-node rule and an
 endpoint-including rule in one pass, computing each shared endpoint value
 once.
+
+The pass has two paths.  ``_pair_ops`` computes it through the context's
+scalar operators and serves ``double`` and ``mp``.  In ``dd``,
+``_pair_dd`` runs the same pass on the (hi, lo) float words of each value,
+creating no DoubleDouble but the abscissae handed to the integrand.  It
+performs the float operations of each DoubleDouble operator it replaces in
+the same order, so every ``CompositePair`` is bitwise equal to the operator
+path's, which the tests keep as its oracle.
 """
 from __future__ import annotations
 
@@ -13,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .rules import Integrand, Interval, RuleId, blend_q, call_integrand, rule_table
-from .scalars import DOUBLE
+from .scalars import _SPLITTER, DOUBLE, DoubleDouble, DoubleDoubleContext
 
 #: (interior-node rule, endpoint-including rule) pairs driving the two
 #: adaptive methods.
@@ -21,6 +29,8 @@ QUINTIC_PAIR = (RuleId.GAUSS3, RuleId.LOBATTO4)
 CUBIC_PAIR = (RuleId.CHEBYSHEV3, RuleId.SIMPSON)
 #: Order p of each pair's stopping gap, |L_n - G_n| ~ C n^-p as n grows.
 GAP_ORDER = {QUINTIC_PAIR: 6, CUBIC_PAIR: 4}
+#: ints within this magnitude convert to float exactly
+_EXACT_INT = 2**53
 
 
 @dataclass(frozen=True)
@@ -55,9 +65,19 @@ def composite_pair(
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
-    open_id, closed_id = rule_pair
-    open_points = rule_table(open_id, ctx)
-    closed_points = rule_table(closed_id, ctx)
+    open_points = rule_table(rule_pair[0], ctx)
+    closed_points = rule_table(rule_pair[1], ctx)
+    sums = None
+    if isinstance(ctx, DoubleDoubleContext):
+        sums = _pair_dd(f, iv, n, ctx, open_points, closed_points)
+    if sums is None:
+        sums = _pair_ops(f, iv, n, ctx, open_points, closed_points)
+    count = (len(open_points) + len(closed_points) - 1) * n + 1
+    return CompositePair(*sums, n, count)
+
+
+def _pair_ops(f, iv, n, ctx, open_points, closed_points) -> tuple:
+    """(g_n, l_n, q_n) through the context's scalar operators."""
     w_first = closed_points[0][1]
     w_last = closed_points[-1][1]
     closed_interior = closed_points[1:-1]
@@ -87,9 +107,317 @@ def composite_pair(
         g_total = g_k if g_total is None else g_total + g_k
         l_total = l_k if l_total is None else l_total + l_k
         q_total = q_k if q_total is None else q_total + q_k
+    return g_total, l_total, q_total
 
-    count = (len(open_points) + len(closed_points) - 1) * n + 1
-    return CompositePair(g_total, l_total, q_total, n, count)
+
+# -- the double-double pass on plain float words ----------------------------
+#
+# _pair_dd is _pair_ops for a double-double context with every DoubleDouble
+# operator replayed on (hi, lo) float words: written out in locals where it
+# runs once per node, and through the word helpers below where it runs once
+# per subinterval.  Each performs the float operations of the operator it
+# replaces (named in its comment, self first) in the same order, so each
+# result is bitwise equal; a Dekker split of a value that several products
+# share is computed once.
+
+
+def _split(x: float) -> tuple[float, float]:
+    """Dekker's halves of x, as DoubleDouble.__mul__ computes them."""
+    c = _SPLITTER * x
+    h = c - (c - x)
+    return h, x - h
+
+
+def _div_words(ahi: float, alo: float, d: float) -> tuple[float, float]:
+    """DoubleDouble(ahi, alo) / DoubleDouble(d) as words; d is nonzero."""
+    dlo = 0.0
+    dh, dl = _split(d)
+    dz = d * 0.0
+    q1 = ahi / d
+    p = d * q1
+    c = _SPLITTER * q1
+    bh = c - (c - q1)
+    bl = q1 - bh
+    e = ((dh * bh - p) + dh * bl + dl * bh) + dl * bl
+    e += dz + dlo * q1
+    phi = p + e
+    plo = e - (phi - p)
+    if plo != plo:
+        phi = p
+        plo = 0.0
+    bhi = -phi
+    blo = -plo
+    s = ahi + bhi
+    v = s - ahi
+    e = (ahi - (s - v)) + (bhi - v)
+    t = alo + blo
+    v = t - alo
+    f = (alo - (t - v)) + (blo - v)
+    e += t
+    u = s + e
+    e = e - (u - s)
+    e += f
+    rhi = u + e
+    rlo = e - (rhi - u)
+    q2 = rhi / d
+    p = d * q2
+    c = _SPLITTER * q2
+    bh = c - (c - q2)
+    bl = q2 - bh
+    e = ((dh * bh - p) + dh * bl + dl * bh) + dl * bl
+    e += dz + dlo * q2
+    phi = p + e
+    plo = e - (phi - p)
+    if plo != plo:
+        phi = p
+        plo = 0.0
+    bhi = -phi
+    blo = -plo
+    s = rhi + bhi
+    v = s - rhi
+    e = (rhi - (s - v)) + (bhi - v)
+    t = rlo + blo
+    v = t - rlo
+    f = (rlo - (t - v)) + (blo - v)
+    e += t
+    u = s + e
+    e = e - (u - s)
+    e += f
+    q3 = (u + e) / d
+    s = q1 + q2
+    e = q2 - (s - q1)
+    e += q3
+    hi = s + e
+    lo = e - (hi - s)
+    if lo != lo:
+        return q1, 0.0
+    return hi, lo
+
+
+def _add_words(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
+    """DoubleDouble(ahi, alo) + DoubleDouble(bhi, blo) as words."""
+    s = ahi + bhi
+    v = s - ahi
+    e = (ahi - (s - v)) + (bhi - v)
+    t = alo + blo
+    v = t - alo
+    f = (alo - (t - v)) + (blo - v)
+    e += t
+    u = s + e
+    e = e - (u - s)
+    e += f
+    hi = u + e
+    lo = e - (hi - u)
+    if lo != lo:
+        return s, 0.0
+    return hi, lo
+
+
+def _scale_down(hi: float, lo: float, d: float, r: float) -> tuple[float, float]:
+    """DoubleDouble(hi, lo) / d for d = 2 or 4, with r = 1/d.
+
+    When both words scale exactly and the pair is finite and normalized,
+    the division's corrections vanish and it returns the scaled words, with
+    zeros made positive; otherwise the division runs in full.
+    """
+    qh = hi * r
+    ql = lo * r
+    if qh * d == hi and ql * d == lo and hi + lo == hi and hi - hi == 0.0:
+        return qh + 0.0, ql + 0.0
+    return _div_words(hi, lo, d)
+
+
+def _rule_steps(open_points, closed_points) -> tuple:
+    """Per rule, its steps (end, w_hi, w_lo, w_h, w_l, t_hi, t_lo, t_h, t_l):
+    end is -1 for a node t, else the offset from the subinterval's left
+    partition point of an endpoint; (w_h, w_l) and (t_h, t_l) are splits."""
+
+    def step(end, weight, node):
+        return (end, weight.hi, weight.lo, *_split(weight.hi),
+                node.hi, node.lo, *_split(node.hi))
+
+    zero = DoubleDouble(0.0)
+    closed = [step(0, closed_points[0][1], zero)]
+    closed += [step(-1, w, t) for t, w in closed_points[1:-1]]
+    closed.append(step(1, closed_points[-1][1], zero))
+    return tuple(step(-1, w, t) for t, w in open_points), tuple(closed)
+
+
+def _pair_dd(f, iv, n, ctx, open_points, closed_points):
+    """_pair_ops for a double-double context, on float words.
+
+    Returns None as soon as f returns anything but a DoubleDouble, a float
+    or an int within 2**53; the caller then replays the whole pass through
+    the operators, so that value meets the operators' own coercion.
+    """
+    a = ctx.const(iv.a)
+    b = ctx.const(iv.b)
+    width = b - a  # the one operator call of the pass
+    whi = width.hi
+    wlo = width.lo
+    wh, wl = _split(whi)
+    wz = whi * 0.0
+    nf = float(n)
+    ahi = a.hi
+    alo = a.lo
+    xh = [ahi]
+    xl = [alo]
+    for k in range(1, n):
+        # k * width, that is width.__mul__(float(k))
+        kf = float(k)
+        p = whi * kf
+        c = _SPLITTER * kf
+        bh = c - (c - kf)
+        bl = kf - bh
+        e = ((wh * bh - p) + wh * bl + wl * bh) + wl * bl
+        e += wz + wlo * kf
+        hi = p + e
+        lo = e - (hi - p)
+        if lo != lo:
+            hi = p
+            lo = 0.0
+        # a + (k * width) / n
+        hi, lo = _add_words(ahi, alo, *_div_words(hi, lo, nf))
+        xh.append(hi)
+        xl.append(lo)
+    xh.append(b.hi)
+    xl.append(b.lo)
+    ends = [
+        call_integrand(f, DoubleDouble(xh[k], xl[k]), max(k, 1)) for k in range(n + 1)
+    ]
+
+    open_steps, closed_steps = _rule_steps(open_points, closed_points)
+    for k in range(1, n + 1):
+        ahi = xh[k - 1]
+        alo = xl[k - 1]
+        bhi = xh[k]
+        blo = xl[k]
+        # h = (b_k - a_k) / 2, as __sub__ adds the negated words
+        hhi, hlo = _scale_down(*_add_words(bhi, blo, -ahi, -alo), 2.0, 0.5)
+        hh, hl = _split(hhi)
+        # m = (a_k + b_k) / 2
+        mhi, mlo = _scale_down(*_add_words(ahi, alo, bhi, blo), 2.0, 0.5)
+
+        for steps in (open_steps, closed_steps):
+            shi = None
+            for end, w_hi, w_lo, w_h, w_l, t_hi, t_lo, t_h, t_l in steps:
+                if end < 0:
+                    # h.__mul__(t)
+                    p = hhi * t_hi
+                    e = ((hh * t_h - p) + hh * t_l + hl * t_h) + hl * t_l
+                    e += hhi * t_lo + hlo * t_hi
+                    bhi = p + e
+                    blo = e - (bhi - p)
+                    if blo != blo:
+                        bhi = p
+                        blo = 0.0
+                    # m.__add__(h * t)
+                    s = mhi + bhi
+                    v = s - mhi
+                    e = (mhi - (s - v)) + (bhi - v)
+                    t = mlo + blo
+                    v = t - mlo
+                    ft = (mlo - (t - v)) + (blo - v)
+                    e += t
+                    u = s + e
+                    e = e - (u - s)
+                    e += ft
+                    hi = u + e
+                    lo = e - (hi - u)
+                    if lo != lo:
+                        hi = s
+                        lo = 0.0
+                    y = call_integrand(f, DoubleDouble(hi, lo), k)
+                else:
+                    y = ends[k - 1 + end]
+                # DoubleDouble._coerce(y)
+                if type(y) is DoubleDouble:
+                    yhi = y.hi
+                    ylo = y.lo
+                elif type(y) is float:
+                    yhi = y
+                    ylo = 0.0
+                elif type(y) is int and -_EXACT_INT <= y <= _EXACT_INT:
+                    yhi = float(y)
+                    ylo = 0.0
+                else:
+                    return None
+                # w.__mul__(y)
+                p = w_hi * yhi
+                c = _SPLITTER * yhi
+                bh = c - (c - yhi)
+                bl = yhi - bh
+                e = ((w_h * bh - p) + w_h * bl + w_l * bh) + w_l * bl
+                e += w_hi * ylo + w_lo * yhi
+                bhi = p + e
+                blo = e - (bhi - p)
+                if blo != blo:
+                    bhi = p
+                    blo = 0.0
+                if shi is None:
+                    shi = bhi
+                    slo = blo
+                    continue
+                # sum.__add__(w * y)
+                s = shi + bhi
+                v = s - shi
+                e = (shi - (s - v)) + (bhi - v)
+                t = slo + blo
+                v = t - slo
+                ft = (slo - (t - v)) + (blo - v)
+                e += t
+                u = s + e
+                e = e - (u - s)
+                e += ft
+                shi = u + e
+                slo = e - (shi - u)
+                if slo != slo:
+                    shi = s
+                    slo = 0.0
+            # h.__mul__(sum): g_k after the open rule, l_k after the closed
+            p = hhi * shi
+            c = _SPLITTER * shi
+            bh = c - (c - shi)
+            bl = shi - bh
+            e = ((hh * bh - p) + hh * bl + hl * bh) + hl * bl
+            e += hhi * slo + hlo * shi
+            r_hi = p + e
+            r_lo = e - (r_hi - p)
+            if r_lo != r_lo:
+                r_hi = p
+                r_lo = 0.0
+            if steps is open_steps:
+                g_hi = r_hi
+                g_lo = r_lo
+        l_hi = r_hi
+        l_lo = r_lo
+
+        # blend_q: g_k.__mul__(3), .__add__(l_k), then / 4
+        p = g_hi * 3.0
+        c = _SPLITTER * g_hi
+        bh = c - (c - g_hi)
+        bl = g_hi - bh
+        e = ((bh * 3.0 - p) + bh * 0.0 + bl * 3.0) + bl * 0.0  # 3.0 splits as (3.0, 0.0)
+        e += g_hi * 0.0 + g_lo * 3.0
+        hi = p + e
+        lo = e - (hi - p)
+        if lo != lo:
+            hi = p
+            lo = 0.0
+        q_hi, q_lo = _scale_down(*_add_words(hi, lo, l_hi, l_lo), 4.0, 0.25)
+
+        if k == 1:
+            gt_hi, gt_lo, lt_hi, lt_lo, qt_hi, qt_lo = g_hi, g_lo, l_hi, l_lo, q_hi, q_lo
+            continue
+        # g_total.__add__(g_k), then the same for l and q
+        gt_hi, gt_lo = _add_words(gt_hi, gt_lo, g_hi, g_lo)
+        lt_hi, lt_lo = _add_words(lt_hi, lt_lo, l_hi, l_lo)
+        qt_hi, qt_lo = _add_words(qt_hi, qt_lo, q_hi, q_lo)
+    return (
+        DoubleDouble(gt_hi, gt_lo),
+        DoubleDouble(lt_hi, lt_lo),
+        DoubleDouble(qt_hi, qt_lo),
+    )
 
 
 _BOUND_DENOMINATOR = {RuleId.GAUSS3: 2016000, RuleId.LOBATTO4: 1512000}

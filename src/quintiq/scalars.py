@@ -562,8 +562,8 @@ DOUBLE_DOUBLE = DoubleDoubleContext()
 def short_decimal(value) -> str:
     """A scalar of any context to about 6 significant digits, for messages."""
     f = float(value)
-    if f == 0.0 and value != 0:
-        # an mp value below the double range: its str keeps the exponent
+    if (f == 0.0 and value != 0) or (math.isinf(f) and value - value == 0):
+        # a finite mp value beyond the double range: its str keeps the exponent
         return f"{Decimal(str(value)).normalize():.6g}"
     return f"{f:.6g}"
 

@@ -1,11 +1,19 @@
 import math
+import struct
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from quintiq.composite import (
     CUBIC_PAIR,
+    QUINTIC_PAIR,
+    _add_words,
+    _div_words,
+    _pair_ops,
+    _scale_down,
     apriori_bound,
     composite_pair,
     min_n_for_bound,
@@ -13,8 +21,8 @@ from quintiq.composite import (
 )
 from quintiq.convexity import estimate_m6
 from quintiq.expr import parse
-from quintiq.rules import IntegrandError, Interval, RuleId
-from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE
+from quintiq.rules import IntegrandError, Interval, RuleId, rule_table
+from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, DoubleDouble
 
 import corpus as corpus_mod
 from support import (
@@ -34,6 +42,13 @@ from support import (
 def _inv(ctx):
     one = ctx.const(1)
     return lambda x: one / x
+
+
+def _bits(v) -> bytes:
+    # bit patterns, so that -0.0 and nan compare as themselves
+    if isinstance(v, DoubleDouble):
+        return struct.pack("<dd", v.hi, v.lo)
+    return struct.pack("<d", v)
 
 
 class TestPartition:
@@ -74,8 +89,11 @@ class TestCompositeRule:
                 raise ValueError("pole")
             return 1.0
 
+        dd_iv = Interval(DOUBLE_DOUBLE.const(1), DOUBLE_DOUBLE.const(2))
         for run in (
             lambda: composite_pair(bad, Interval(1.0, 2.0), 2),
+            lambda: composite_pair(bad, dd_iv, 2, DOUBLE_DOUBLE),
+            lambda: composite_pair(bad, dd_iv, 2, DOUBLE_DOUBLE, CUBIC_PAIR),
             lambda: composite_rule(RuleId.LOBATTO4, bad, Interval(1.0, 2.0), 2),
         ):
             with pytest.raises(IntegrandError) as exc_info:
@@ -135,25 +153,28 @@ class TestCompositePair:
         f = corpus_mod.integrand(fn, DOUBLE)
         iv = corpus_mod.interval(fn, DOUBLE)
         pair = composite_pair(f, iv, n)
-        assert pair.g_n == composite_rule(RuleId.GAUSS3, f, iv, n)
-        assert pair.l_n == composite_rule(RuleId.LOBATTO4, f, iv, n)
+        assert _bits(pair.g_n) == _bits(composite_rule(RuleId.GAUSS3, f, iv, n))
+        assert _bits(pair.l_n) == _bits(composite_rule(RuleId.LOBATTO4, f, iv, n))
         cpair = composite_pair(f, iv, n, DOUBLE, CUBIC_PAIR)
-        assert cpair.g_n == composite_rule(RuleId.CHEBYSHEV3, f, iv, n)
-        assert cpair.l_n == composite_rule(RuleId.SIMPSON, f, iv, n)
+        assert _bits(cpair.g_n) == _bits(composite_rule(RuleId.CHEBYSHEV3, f, iv, n))
+        assert _bits(cpair.l_n) == _bits(composite_rule(RuleId.SIMPSON, f, iv, n))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_evaluation_counts(self, n):
-        iv = Interval(1.0, 2.0)
         calls = []
+        for ctx in (DOUBLE, DOUBLE_DOUBLE):
+            iv = Interval(ctx.const(1), ctx.const(2))
+            one = ctx.const(1)
 
-        def f(x):
-            calls.append(x)
-            return 1.0 / x
+            def f(x):
+                calls.append(x)
+                return one / x
 
-        assert composite_pair(f, iv, n).evaluation_count == 6 * n + 1 == len(calls)
-        calls.clear()
-        cpair = composite_pair(f, iv, n, DOUBLE, CUBIC_PAIR)
-        assert cpair.evaluation_count == 5 * n + 1 == len(calls)
+            calls.clear()
+            assert composite_pair(f, iv, n, ctx).evaluation_count == 6 * n + 1 == len(calls)
+            calls.clear()
+            cpair = composite_pair(f, iv, n, ctx, CUBIC_PAIR)
+            assert cpair.evaluation_count == 5 * n + 1 == len(calls)
 
     @pytest.mark.parametrize("fn", corpus_mod.CORPUS, ids=lambda f: f.name)
     def test_blend_per_subinterval_equals_blend_of_totals(self, fn):
@@ -163,6 +184,163 @@ class TestCompositePair:
         blended_totals = (3 * pair.g_n + pair.l_n) / 4
         scale = max(abs(pair.q_n), 1e-300)
         assert abs(pair.q_n - blended_totals) <= 2 * DOUBLE.eps * scale
+
+
+# -- the double-double pass on float words against the operator path -------
+
+
+@st.composite
+def dd_intervals(draw):
+    """[a, b] in dd: negative or positive, magnitudes from 1e-250 to near
+    the overflow threshold, widths from 2**-40 to 8 times the magnitude."""
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e5, 1e250, 1e-250, 1e307]))
+    a_hi = draw(st.floats(-4.0, 4.0)) * scale
+    a = DoubleDouble(a_hi, draw(st.floats(-0.5, 0.5)) * math.ulp(a_hi))
+    width = draw(st.floats(2.0**-40, 8.0)) * scale
+    b = a + DoubleDouble(width, draw(st.floats(-0.5, 0.5)) * math.ulp(width))
+    assume(a < b)
+    return Interval(a, b)
+
+
+def _dd_iv(a: float, b: float) -> Interval:
+    return Interval(DoubleDouble(a), DoubleDouble(b))
+
+
+def _words(his):
+    """(hi, lo) with hi drawn from his and a tail within half an ulp of it."""
+    return his.flatmap(lambda hi: st.floats(-0.5, 0.5).map(lambda r: (hi, r * math.ulp(hi))))
+
+
+_dd_words = _words(st.floats(allow_nan=False)).map(lambda w: DoubleDouble(*w))
+# what an integrand may return: dd values, drawn as their words, floats of
+# any kind, and ints that convert exactly
+integrand_values = st.one_of(_words(st.floats()), st.floats(), st.integers(-(2**53), 2**53))
+
+
+@st.composite
+def dd_integrands(draw):
+    """A drawn integrand spec: its kind, a value table, and a raise modulus
+    (0 never raises; otherwise f raises where its abscissa hashes to 0)."""
+    kind = draw(st.sampled_from(["table", "square", "reciprocal"]))
+    table = draw(st.lists(integrand_values, min_size=1, max_size=8))
+    raise_mod = draw(st.one_of(st.just(0), st.integers(1, 400)))
+    return kind, tuple(table), raise_mod
+
+
+def _make_integrand(spec, calls):
+    kind, table, raise_mod = spec
+    one = DOUBLE_DOUBLE.const(1)
+
+    def f(x):
+        bits = _bits(x)
+        calls.append(bits)
+        key = int.from_bytes(bits, "little")  # hash(nan) is not repeatable
+        if raise_mod and key % raise_mod == 0:
+            raise ValueError("drawn pole")
+        if kind == "square":
+            return x * x
+        if kind == "reciprocal":
+            return one / x  # raises at x = 0
+        value = table[key % len(table)]
+        return DoubleDouble(*value) if isinstance(value, tuple) else value
+
+    return f
+
+
+def _outcome(run):
+    try:
+        values = run()
+    except IntegrandError as exc:
+        return "raised", type(exc.cause), _bits(exc.abscissa), exc.subinterval
+    return "returned", [_bits(v) for v in values]
+
+
+class TestDoubleDoubleKernel:
+    @given(
+        st.sampled_from([QUINTIC_PAIR, CUBIC_PAIR]),
+        st.integers(1, 64),
+        dd_intervals(),
+        dd_integrands(),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(QUINTIC_PAIR, 84, _dd_iv(1.0, 2.0), ("reciprocal", (0,), 0))
+    @example(CUBIC_PAIR, 1572, _dd_iv(1.0, 2.0), ("reciprocal", (0,), 0))
+    @example(QUINTIC_PAIR, 1572, _dd_iv(-1e250, 3e250), ("square", (0,), 0))
+    @example(QUINTIC_PAIR, 5, _dd_iv(-1.0, 1.0), ("reciprocal", (0,), 0))  # f(0) raises
+    @example(CUBIC_PAIR, 3, _dd_iv(1e250, 2e250), ("square", (0,), 0))
+    # b - a overflows, so h is inf and the abscissae overflow too
+    @example(QUINTIC_PAIR, 3, _dd_iv(-1.7e308, 1.7e308), ("square", (0,), 0))
+    @example(CUBIC_PAIR, 2, _dd_iv(-1.7e308, 1.7e308), ("table", (1,), 0))
+    @example(QUINTIC_PAIR, 4, _dd_iv(-1.0, 1.0), ("table", (-0.0, (-0.0, -0.0)), 0))
+    @example(
+        QUINTIC_PAIR, 7, _dd_iv(1.0, 1.0 + 2.0**-40),
+        ("table", ((1e308, 0.0), -0.0, math.inf, 3, (5e-324, 0.0), (math.nan, 0.0)), 0),
+    )
+    def test_kernel_matches_the_operator_path_bitwise(self, rule_pair, n, iv, spec):
+        ctx = DOUBLE_DOUBLE
+        open_points = rule_table(rule_pair[0], ctx)
+        closed_points = rule_table(rule_pair[1], ctx)
+        kernel_calls, ops_calls = [], []
+        f_kernel = _make_integrand(spec, kernel_calls)
+        f_ops = _make_integrand(spec, ops_calls)
+
+        def kernel():
+            pair = composite_pair(f_kernel, iv, n, ctx, rule_pair)
+            return pair.g_n, pair.l_n, pair.q_n
+
+        got = _outcome(kernel)
+        want = _outcome(lambda: _pair_ops(f_ops, iv, n, ctx, open_points, closed_points))
+        assert got == want
+        # the same abscissae in the same order, one call each: no replay
+        assert kernel_calls == ops_calls
+
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(1, 3), True, 2**53 + 1, 10**400, mpmath.mpf(2), "text", None],
+        ids=["fraction", "bool", "int-beyond-2**53", "int-beyond-float", "mpf", "str", "none"],
+    )
+    def test_other_return_types_get_the_operator_path_result(self, value):
+        ctx = DOUBLE_DOUBLE
+        iv = Interval(ctx.const(1), ctx.const(2))
+        f = lambda x: value
+        points = rule_table(QUINTIC_PAIR[0], ctx), rule_table(QUINTIC_PAIR[1], ctx)
+        try:
+            want = _pair_ops(f, iv, 3, ctx, *points)
+        except Exception as exc:  # the operators' own error, whatever it is
+            with pytest.raises(type(exc)):
+                composite_pair(f, iv, 3, ctx)
+            return
+        got = composite_pair(f, iv, 3, ctx)
+        assert [_bits(v) for v in (got.g_n, got.l_n, got.q_n)] == [_bits(v) for v in want]
+
+    @given(
+        st.one_of(_dd_words, st.builds(DoubleDouble, st.floats(), st.floats())),
+        st.one_of(_dd_words, st.builds(DoubleDouble, st.floats(), st.floats())),
+        st.sampled_from(["+", "-", "*", "raw"]),
+        st.sampled_from([2.0, 4.0]),
+    )
+    @settings(max_examples=400)
+    @example(DoubleDouble(1.0, 5e-324), DoubleDouble(0.0), "+", 2.0)  # subnormal tails
+    @example(DoubleDouble(1.0, -5e-324), DoubleDouble(0.0), "raw", 2.0)
+    @example(DoubleDouble(-1.4e-317), DoubleDouble(0.0), "+", 4.0)  # subnormal hi
+    @example(DoubleDouble(-0.0, -0.0), DoubleDouble(-0.0, -0.0), "+", 2.0)
+    @example(DoubleDouble(1.5e308), DoubleDouble(1.5e308), "+", 2.0)  # (inf, -inf)
+    @example(DoubleDouble(math.inf, 3.0), DoubleDouble(0.0), "raw", 2.0)
+    @example(DoubleDouble(1.7e308, 1e291), DoubleDouble(0.0), "raw", 4.0)
+    @example(  # a tail of half an ulp, so hi + lo rounds away from hi
+        DoubleDouble(-7.26781746264949e190, -7.914572847139345e174), DoubleDouble(0.0), "raw", 2.0
+    )
+    def test_scaling_by_a_half_or_quarter_is_the_division_bitwise(self, x, y, op, d):
+        z = {"+": x + y, "-": x - y, "*": x * y, "raw": x}[op]
+        assert _bits(DoubleDouble(*_scale_down(z.hi, z.lo, d, 1.0 / d))) == _bits(z / d)
+
+    @given(_dd_words, _dd_words, st.integers(1, 10**6))
+    @settings(max_examples=300)
+    @example(DoubleDouble(math.inf), DoubleDouble(-math.inf), 3)
+    @example(DoubleDouble(1e308), DoubleDouble(1e308), 7)
+    def test_word_helpers_match_the_operators_bitwise(self, x, y, n):
+        assert _bits(DoubleDouble(*_add_words(x.hi, x.lo, y.hi, y.lo))) == _bits(x + y)
+        assert _bits(DoubleDouble(*_div_words(x.hi, x.lo, float(n)))) == _bits(x / n)
 
 
 class TestTheoremAndConvergence:

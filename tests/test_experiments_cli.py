@@ -239,6 +239,18 @@ class TestCliExitCodes:
         )
         assert elapsed < 1.0
 
+    def test_mp_gap_beyond_the_double_range_prints_finite(self, capsys):
+        # x*x is finite in mp:40, and the gap at n = 1 is 4.12e559
+        code = main([
+            "integrate", "--fn", "x*x", "--a", "1e200", "--b", "2e200",
+            "--precision", "mp:40", "--strategy", "doubling", "--n-max", "1",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: no n <= 1 reached gap <= 4*eps (eps = 1e-08); "
+            "best gap 4.11872e+559 at n = 1\n"
+        )
+
     @pytest.mark.parametrize("precision", ["double", "dd"])
     def test_overflowing_power_is_2(self, precision, capsys):
         code = main([

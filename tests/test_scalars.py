@@ -20,6 +20,7 @@ from quintiq.scalars import (
     dd_sqrt,
     mp_context,
     parse_precision,
+    short_decimal,
 )
 
 from support import dd_to_mpf, ref_add, ref_div, ref_mul, ref_sub
@@ -324,6 +325,23 @@ def test_dd_to_decimal_round_trips():
         x = DOUBLE_DOUBLE.const(text)
         back = DOUBLE_DOUBLE.const(DOUBLE_DOUBLE.to_decimal(x))
         assert abs(dd_to_mpf(back) - dd_to_mpf(x)) <= abs(dd_to_mpf(x)) * mpmath.mpf("1e-31")
+
+
+@pytest.mark.parametrize(
+    "text, want", [("1e400", "1e+400"), ("-1e400", "-1e+400"), ("4.12e559", "4.12e+559")]
+)
+def test_short_decimal_prints_mp_values_beyond_the_double_range(text, want):
+    x = mp_context(40).const(text)
+    assert float(x) in (math.inf, -math.inf)
+    assert short_decimal(x) == want
+
+
+def test_short_decimal_keeps_real_infinities():
+    mp_inf = mp_context(40).const(math.inf)
+    for sign, values in (("", [math.inf, DoubleDouble(math.inf), mp_inf]),
+                         ("-", [-math.inf, DoubleDouble(-math.inf), -mp_inf])):
+        for v in values:
+            assert short_decimal(v) == sign + "inf"
 
 
 def test_double_context_basics():
