@@ -1,19 +1,20 @@
 """Uniform composite rules and their a-priori sixth-order error bounds.
 
 A composite rule splits [a, b] into n equal subintervals with partition
-points computed as a + k*(b-a)/n (no cumulative stepping, and the last
-point is pinned to b), applies a simple rule on each piece and sums left to
-right.  ``composite_pair`` runs an interior-node rule and an
-endpoint-including rule in one pass, computing each shared endpoint value
-once.
+points computed as a + k*(b-a)/n, or a + k*((b-a)/n) where k*(b-a)
+overflows (no cumulative stepping, and the last point is pinned to b),
+applies a simple rule on each piece and sums left to right.
+``composite_pair`` runs an interior-node rule and an endpoint-including rule
+in one pass, computing each shared endpoint value once.
 
-The pass has two paths.  ``_pair_ops`` computes it through the context's
-scalar operators and serves ``double`` and ``mp``.  In ``dd``,
-``_pair_dd`` runs the same pass on the (hi, lo) float words of each value,
-creating no DoubleDouble but the abscissae handed to the integrand.  It
-performs the float operations of each DoubleDouble operator it replaces in
-the same order, so every ``CompositePair`` is bitwise equal to the operator
-path's, which the tests keep as its oracle.
+The pass has one implementation per kind of context.  ``_pair_ops``
+computes it through the context's scalar operators and serves ``double``
+and ``mp``.  ``_pair_dd`` serves ``dd``: it runs the same pass on the
+(hi, lo) float words of each value, with the word operations of
+``scalars``, and creates no DoubleDouble but the abscissae handed to the
+integrand.  It performs the float operations of each DoubleDouble operator
+it stands in for in the same order, so every ``CompositePair`` is bitwise
+equal to the operator path's, which the tests keep as its oracle.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 from .rules import Integrand, Interval, RuleId, blend_q, call_integrand, rule_table
 from .scalars import _SPLITTER, DOUBLE, DoubleDouble, DoubleDoubleContext
+from .scalars import _add_words, _div_words, _split
 
 #: (interior-node rule, endpoint-including rule) pairs driving the two
 #: adaptive methods.
@@ -29,8 +31,6 @@ QUINTIC_PAIR = (RuleId.GAUSS3, RuleId.LOBATTO4)
 CUBIC_PAIR = (RuleId.CHEBYSHEV3, RuleId.SIMPSON)
 #: Order p of each pair's stopping gap, |L_n - G_n| ~ C n^-p as n grows.
 GAP_ORDER = {QUINTIC_PAIR: 6, CUBIC_PAIR: 4}
-#: ints within this magnitude convert to float exactly
-_EXACT_INT = 2**53
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,18 @@ class CompositePair:
 
 
 def partition_points(iv: Interval, n: int, ctx=DOUBLE) -> list:
-    """n+1 equally spaced points; x_0 = a and x_n = b exactly."""
+    """n+1 equally spaced points; x_0 = a and x_n = b exactly.
+
+    x_k is a + (k*(b-a))/n, or a + k*((b-a)/n) where k*(b-a) is not finite.
+    """
     a, b = ctx.const(iv.a), ctx.const(iv.b)
     width = b - a
-    return [a] + [a + (k * width) / n for k in range(1, n)] + [b]
+    xs = [a]
+    for k in range(1, n):
+        kw = k * width
+        xs.append(a + kw / n if kw - kw == 0 else a + k * (width / n))
+    xs.append(b)
+    return xs
 
 
 def composite_pair(
@@ -67,10 +75,9 @@ def composite_pair(
         raise ValueError(f"subdivision count must be >= 1, got {n}")
     open_points = rule_table(rule_pair[0], ctx)
     closed_points = rule_table(rule_pair[1], ctx)
-    sums = None
     if isinstance(ctx, DoubleDoubleContext):
         sums = _pair_dd(f, iv, n, ctx, open_points, closed_points)
-    if sums is None:
+    else:
         sums = _pair_ops(f, iv, n, ctx, open_points, closed_points)
     count = (len(open_points) + len(closed_points) - 1) * n + 1
     return CompositePair(*sums, n, count)
@@ -113,104 +120,13 @@ def _pair_ops(f, iv, n, ctx, open_points, closed_points) -> tuple:
 # -- the double-double pass on plain float words ----------------------------
 #
 # _pair_dd is _pair_ops for a double-double context with every DoubleDouble
-# operator replayed on (hi, lo) float words: written out in locals where it
-# runs once per node, and through the word helpers below where it runs once
-# per subinterval.  Each performs the float operations of the operator it
-# replaces (named in its comment, self first) in the same order, so each
-# result is bitwise equal; a Dekker split of a value that several products
-# share is computed once.
-
-
-def _split(x: float) -> tuple[float, float]:
-    """Dekker's halves of x, as DoubleDouble.__mul__ computes them."""
-    c = _SPLITTER * x
-    h = c - (c - x)
-    return h, x - h
-
-
-def _div_words(ahi: float, alo: float, d: float) -> tuple[float, float]:
-    """DoubleDouble(ahi, alo) / DoubleDouble(d) as words; d is nonzero."""
-    dlo = 0.0
-    dh, dl = _split(d)
-    dz = d * 0.0
-    q1 = ahi / d
-    p = d * q1
-    c = _SPLITTER * q1
-    bh = c - (c - q1)
-    bl = q1 - bh
-    e = ((dh * bh - p) + dh * bl + dl * bh) + dl * bl
-    e += dz + dlo * q1
-    phi = p + e
-    plo = e - (phi - p)
-    if plo != plo:
-        phi = p
-        plo = 0.0
-    bhi = -phi
-    blo = -plo
-    s = ahi + bhi
-    v = s - ahi
-    e = (ahi - (s - v)) + (bhi - v)
-    t = alo + blo
-    v = t - alo
-    f = (alo - (t - v)) + (blo - v)
-    e += t
-    u = s + e
-    e = e - (u - s)
-    e += f
-    rhi = u + e
-    rlo = e - (rhi - u)
-    q2 = rhi / d
-    p = d * q2
-    c = _SPLITTER * q2
-    bh = c - (c - q2)
-    bl = q2 - bh
-    e = ((dh * bh - p) + dh * bl + dl * bh) + dl * bl
-    e += dz + dlo * q2
-    phi = p + e
-    plo = e - (phi - p)
-    if plo != plo:
-        phi = p
-        plo = 0.0
-    bhi = -phi
-    blo = -plo
-    s = rhi + bhi
-    v = s - rhi
-    e = (rhi - (s - v)) + (bhi - v)
-    t = rlo + blo
-    v = t - rlo
-    f = (rlo - (t - v)) + (blo - v)
-    e += t
-    u = s + e
-    e = e - (u - s)
-    e += f
-    q3 = (u + e) / d
-    s = q1 + q2
-    e = q2 - (s - q1)
-    e += q3
-    hi = s + e
-    lo = e - (hi - s)
-    if lo != lo:
-        return q1, 0.0
-    return hi, lo
-
-
-def _add_words(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
-    """DoubleDouble(ahi, alo) + DoubleDouble(bhi, blo) as words."""
-    s = ahi + bhi
-    v = s - ahi
-    e = (ahi - (s - v)) + (bhi - v)
-    t = alo + blo
-    v = t - alo
-    f = (alo - (t - v)) + (blo - v)
-    e += t
-    u = s + e
-    e = e - (u - s)
-    e += f
-    hi = u + e
-    lo = e - (hi - u)
-    if lo != lo:
-        return s, 0.0
-    return hi, lo
+# operator performed on (hi, lo) float words: written out in locals where it
+# runs once per node, and through the word operations of scalars where it
+# runs once per subinterval.  Each performs the float operations of the
+# operator it stands in for (named in its comment, self first) in the same
+# order, so each result is bitwise equal; a Dekker split of a value that
+# several products share is computed once.  An integrand value that is not a
+# DoubleDouble gets its product with the weight from the operator itself.
 
 
 def _scale_down(hi: float, lo: float, d: float, r: float) -> tuple[float, float]:
@@ -224,7 +140,7 @@ def _scale_down(hi: float, lo: float, d: float, r: float) -> tuple[float, float]
     ql = lo * r
     if qh * d == hi and ql * d == lo and hi + lo == hi and hi - hi == 0.0:
         return qh + 0.0, ql + 0.0
-    return _div_words(hi, lo, d)
+    return _div_words(hi, lo, d, 0.0)
 
 
 def _rule_steps(open_points, closed_points) -> tuple:
@@ -244,15 +160,10 @@ def _rule_steps(open_points, closed_points) -> tuple:
 
 
 def _pair_dd(f, iv, n, ctx, open_points, closed_points):
-    """_pair_ops for a double-double context, on float words.
-
-    Returns None as soon as f returns anything but a DoubleDouble, a float
-    or an int within 2**53; the caller then replays the whole pass through
-    the operators, so that value meets the operators' own coercion.
-    """
+    """_pair_ops for a double-double context, on float words."""
     a = ctx.const(iv.a)
     b = ctx.const(iv.b)
-    width = b - a  # the one operator call of the pass
+    width = b - a
     whi = width.hi
     wlo = width.lo
     wh, wl = _split(whi)
@@ -276,8 +187,14 @@ def _pair_dd(f, iv, n, ctx, open_points, closed_points):
         if lo != lo:
             hi = p
             lo = 0.0
-        # a + (k * width) / n
-        hi, lo = _add_words(ahi, alo, *_div_words(hi, lo, nf))
+        if hi - hi == 0.0:
+            # a + (k * width) / n
+            hi, lo = _add_words(ahi, alo, *_div_words(hi, lo, nf, 0.0))
+        else:
+            # k * width is not finite: a + k * (width / n), as partition_points
+            x = a + k * (width / n)
+            hi = x.hi
+            lo = x.lo
         xh.append(hi)
         xl.append(lo)
     xh.append(b.hi)
@@ -330,30 +247,26 @@ def _pair_dd(f, iv, n, ctx, open_points, closed_points):
                     y = call_integrand(f, DoubleDouble(hi, lo), k)
                 else:
                     y = ends[k - 1 + end]
-                # DoubleDouble._coerce(y)
                 if type(y) is DoubleDouble:
+                    # w.__mul__(y)
                     yhi = y.hi
                     ylo = y.lo
-                elif type(y) is float:
-                    yhi = y
-                    ylo = 0.0
-                elif type(y) is int and -_EXACT_INT <= y <= _EXACT_INT:
-                    yhi = float(y)
-                    ylo = 0.0
+                    p = w_hi * yhi
+                    c = _SPLITTER * yhi
+                    bh = c - (c - yhi)
+                    bl = yhi - bh
+                    e = ((w_h * bh - p) + w_h * bl + w_l * bh) + w_l * bl
+                    e += w_hi * ylo + w_lo * yhi
+                    bhi = p + e
+                    blo = e - (bhi - p)
+                    if blo != blo:
+                        bhi = p
+                        blo = 0.0
                 else:
-                    return None
-                # w.__mul__(y)
-                p = w_hi * yhi
-                c = _SPLITTER * yhi
-                bh = c - (c - yhi)
-                bl = yhi - bh
-                e = ((w_h * bh - p) + w_h * bl + w_l * bh) + w_l * bl
-                e += w_hi * ylo + w_lo * yhi
-                bhi = p + e
-                blo = e - (bhi - p)
-                if blo != blo:
-                    bhi = p
-                    blo = 0.0
+                    # any other value: the operator coerces it, or raises
+                    y = DoubleDouble(w_hi, w_lo) * y
+                    bhi = y.hi
+                    blo = y.lo
                 if shi is None:
                     shi = bhi
                     slo = blo

@@ -30,6 +30,109 @@ def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
     return s, b - (s - a)
 
 
+def _split(x: float) -> tuple[float, float]:
+    """Dekker's halves of x, as DoubleDouble.__mul__ computes them."""
+    c = _SPLITTER * x
+    h = c - (c - x)
+    return h, x - h
+
+
+def _add_words(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
+    """DoubleDouble(ahi, alo) + DoubleDouble(bhi, blo) as words."""
+    s = ahi + bhi
+    v = s - ahi
+    e = (ahi - (s - v)) + (bhi - v)
+    t = alo + blo
+    v = t - alo
+    f = (alo - (t - v)) + (blo - v)
+    e += t
+    u = s + e
+    e = e - (u - s)
+    e += f
+    hi = u + e
+    lo = e - (hi - u)
+    if lo != lo:
+        return s, 0.0
+    return hi, lo
+
+
+def _div_words(ahi: float, alo: float, d: float, dlo: float) -> tuple[float, float]:
+    """DoubleDouble(ahi, alo) / DoubleDouble(d, dlo) as words, for d nonzero:
+    the arithmetic of __truediv__, which checks d and wraps the result."""
+    # long division with two Newton corrections: q1 = ahi/d, then
+    # r = dividend - divisor*q1, q2 = r.hi/d, r -= divisor*q2, q3 = r.hi/d.
+    # The divisor is split once for both products.  Each product keeps the
+    # plain-product fallback of __mul__ and its cross term with the zero
+    # tail of q, d * 0.0, computed once as dz.
+    dh, dl = _split(d)
+    dz = d * 0.0
+    q1 = ahi / d
+    # p = divisor * q1
+    p = d * q1
+    c = _SPLITTER * q1
+    bh = c - (c - q1)
+    bl = q1 - bh
+    e = ((dh * bh - p) + dh * bl + dl * bh) + dl * bl
+    e += dz + dlo * q1
+    phi = p + e
+    plo = e - (phi - p)
+    if plo != plo:
+        phi = p
+        plo = 0.0
+    # r = dividend - p
+    bhi = -phi
+    blo = -plo
+    s = ahi + bhi
+    v = s - ahi
+    e = (ahi - (s - v)) + (bhi - v)
+    t = alo + blo
+    v = t - alo
+    f = (alo - (t - v)) + (blo - v)
+    e += t
+    u = s + e
+    e = e - (u - s)
+    e += f
+    rhi = u + e
+    rlo = e - (rhi - u)
+    q2 = rhi / d
+    # p = divisor * q2
+    p = d * q2
+    c = _SPLITTER * q2
+    bh = c - (c - q2)
+    bl = q2 - bh
+    e = ((dh * bh - p) + dh * bl + dl * bh) + dl * bl
+    e += dz + dlo * q2
+    phi = p + e
+    plo = e - (phi - p)
+    if plo != plo:
+        phi = p
+        plo = 0.0
+    # r -= p; only its leading word is used
+    bhi = -phi
+    blo = -plo
+    s = rhi + bhi
+    v = s - rhi
+    e = (rhi - (s - v)) + (bhi - v)
+    t = rlo + blo
+    v = t - rlo
+    f = (rlo - (t - v)) + (blo - v)
+    e += t
+    u = s + e
+    e = e - (u - s)
+    e += f
+    q3 = (u + e) / d
+    s = q1 + q2
+    e = q2 - (s - q1)
+    e += q3
+    hi = s + e
+    lo = e - (hi - s)
+    if lo != lo:
+        # a nan tail: the quotient overflowed, or one beyond ~1e300 made the
+        # corrections nan; keep the plain quotient
+        return q1, 0.0
+    return hi, lo
+
+
 class DoubleDouble:
     """Normalized hi + lo pair with |lo| <= 0.5 ulp(hi); ~106-bit significand.
 
@@ -38,12 +141,13 @@ class DoubleDouble:
     beyond that the low word degrades gracefully toward double precision,
     and a sum, product or quotient that overflows is +-inf, as in double.
 
-    ``+ - * /`` are written out as straight-line code on plain floats, with
-    no helper calls and no intermediate DoubleDouble.  Each one performs the
-    float operations of its textbook composition of Dekker's error-free
-    transformations (two-sum, fast two-sum, split two-product) in the same
-    order, so its result is bitwise equal to that composition's, which the
-    tests keep as the reference.
+    ``+ - *`` are written out as straight-line code on plain floats, with no
+    helper calls and no intermediate DoubleDouble; ``/`` runs the same kind
+    of code in ``_div_words``.  Each one performs the float operations of its
+    textbook composition of Dekker's error-free transformations (two-sum,
+    fast two-sum, split two-product) in the same order, so its result is
+    bitwise equal to that composition's, which the tests keep as the
+    reference.
     """
 
     __slots__ = ("hi", "lo")
@@ -182,86 +286,9 @@ class DoubleDouble:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        d = other.hi
-        dlo = other.lo
-        if d == 0.0:
+        if other.hi == 0.0:
             raise ZeroDivisionError("double-double division by zero")
-        # long division with two Newton corrections: q1 = hi/d, then
-        # r = self - other*q1, q2 = r.hi/d, r -= other*q2, q3 = r.hi/d.
-        # The divisor is split once for both products.  Each product keeps
-        # the plain-product fallback of __mul__ and its cross term with the
-        # zero tail of q, d * 0.0, computed once as dz.
-        c = _SPLITTER * d
-        dh = c - (c - d)
-        dl = d - dh
-        dz = d * 0.0
-        ahi = self.hi
-        alo = self.lo
-        q1 = ahi / d
-        # p = other * q1
-        p = d * q1
-        c = _SPLITTER * q1
-        bh = c - (c - q1)
-        bl = q1 - bh
-        e = ((dh * bh - p) + dh * bl + dl * bh) + dl * bl
-        e += dz + dlo * q1
-        phi = p + e
-        plo = e - (phi - p)
-        if plo != plo:
-            phi = p
-            plo = 0.0
-        # r = self - p
-        bhi = -phi
-        blo = -plo
-        s = ahi + bhi
-        v = s - ahi
-        e = (ahi - (s - v)) + (bhi - v)
-        t = alo + blo
-        v = t - alo
-        f = (alo - (t - v)) + (blo - v)
-        e += t
-        u = s + e
-        e = e - (u - s)
-        e += f
-        rhi = u + e
-        rlo = e - (rhi - u)
-        q2 = rhi / d
-        # p = other * q2
-        p = d * q2
-        c = _SPLITTER * q2
-        bh = c - (c - q2)
-        bl = q2 - bh
-        e = ((dh * bh - p) + dh * bl + dl * bh) + dl * bl
-        e += dz + dlo * q2
-        phi = p + e
-        plo = e - (phi - p)
-        if plo != plo:
-            phi = p
-            plo = 0.0
-        # r -= p; only its leading word is used
-        bhi = -phi
-        blo = -plo
-        s = rhi + bhi
-        v = s - rhi
-        e = (rhi - (s - v)) + (bhi - v)
-        t = rlo + blo
-        v = t - rlo
-        f = (rlo - (t - v)) + (blo - v)
-        e += t
-        u = s + e
-        e = e - (u - s)
-        e += f
-        q3 = (u + e) / d
-        s = q1 + q2
-        e = q2 - (s - q1)
-        e += q3
-        hi = s + e
-        lo = e - (hi - s)
-        if lo != lo:
-            # a nan tail: the quotient overflowed, or one beyond ~1e300 made
-            # the corrections nan; keep the plain quotient
-            return DoubleDouble(q1, 0.0)
-        return DoubleDouble(hi, lo)
+        return DoubleDouble(*_div_words(self.hi, self.lo, other.hi, other.lo))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -330,6 +357,9 @@ class DoubleDouble:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __hash__(self):
+        if not math.isfinite(self.hi):
+            # inf or nan has no Fraction; it equals the float hi, if anything
+            return hash(self.hi)
         # equal to an int or float exactly when the Fraction is, so hash that
         return hash(self.as_fraction())
 
@@ -344,8 +374,7 @@ _DD_LN2 = DoubleDouble.from_fraction(
     Fraction("0.69314718055994530941723212145817656807550013436026")
 )
 # Dekker halves of ln2's leading double, for the exact k*ln2 product
-_LN2_H = _SPLITTER * _DD_LN2.hi - (_SPLITTER * _DD_LN2.hi - _DD_LN2.hi)
-_LN2_L = _DD_LN2.hi - _LN2_H
+_LN2_H, _LN2_L = _split(_DD_LN2.hi)
 # 1/j! for the exp kernel, exact to dd precision, highest degree first
 _EXP_COEF = [
     DoubleDouble.from_fraction(Fraction(1, math.factorial(j)))

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from quintiq.composite import (
     CUBIC_PAIR,
     QUINTIC_PAIR,
-    _add_words,
-    _div_words,
     _pair_ops,
     _scale_down,
     apriori_bound,
@@ -64,6 +62,20 @@ class TestPartition:
 
     def test_n_one(self):
         assert partition_points(Interval(-3.0, 5.0), 1) == [-3.0, 5.0]
+
+    @pytest.mark.parametrize("ctx", [DOUBLE, DOUBLE_DOUBLE], ids=["double", "dd"])
+    def test_points_stay_finite_where_k_times_the_width_overflows(self, ctx):
+        a, b, n = 5e306, 1.75e307, 31
+        xs = partition_points(Interval(ctx.const(a), ctx.const(b)), n, ctx)
+        width = ctx.const(b) - ctx.const(a)
+        assert math.isfinite(float(14 * width)) and math.isinf(float(15 * width))
+        for k, x in enumerate(xs):
+            exact = Fraction(a) + k * (Fraction(b) - Fraction(a)) / n
+            got = x.as_fraction() if isinstance(x, DoubleDouble) else Fraction(x)
+            assert abs(got - exact) <= exact * Fraction(1, 2**50), k
+            if 0 < k < 15:
+                # a finite k * (b - a) keeps the point's bits
+                assert _bits(x) == _bits(ctx.const(a) + (k * width) / n), k
 
 
 class TestCompositeRule:
@@ -271,6 +283,8 @@ class TestDoubleDoubleKernel:
     # b - a overflows, so h is inf and the abscissae overflow too
     @example(QUINTIC_PAIR, 3, _dd_iv(-1.7e308, 1.7e308), ("square", (0,), 0))
     @example(CUBIC_PAIR, 2, _dd_iv(-1.7e308, 1.7e308), ("table", (1,), 0))
+    # k * (b - a) overflows from k = 15 on, so those points divide first
+    @example(QUINTIC_PAIR, 31, _dd_iv(5e306, 1.75e307), ("reciprocal", (0,), 0))
     @example(QUINTIC_PAIR, 4, _dd_iv(-1.0, 1.0), ("table", (-0.0, (-0.0, -0.0)), 0))
     @example(
         QUINTIC_PAIR, 7, _dd_iv(1.0, 1.0 + 2.0**-40),
@@ -302,7 +316,12 @@ class TestDoubleDoubleKernel:
     def test_other_return_types_get_the_operator_path_result(self, value):
         ctx = DOUBLE_DOUBLE
         iv = Interval(ctx.const(1), ctx.const(2))
-        f = lambda x: value
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return value
+
         points = rule_table(QUINTIC_PAIR[0], ctx), rule_table(QUINTIC_PAIR[1], ctx)
         try:
             want = _pair_ops(f, iv, 3, ctx, *points)
@@ -310,8 +329,11 @@ class TestDoubleDoubleKernel:
             with pytest.raises(type(exc)):
                 composite_pair(f, iv, 3, ctx)
             return
+        calls.clear()
         got = composite_pair(f, iv, 3, ctx)
         assert [_bits(v) for v in (got.g_n, got.l_n, got.q_n)] == [_bits(v) for v in want]
+        # one call per abscissa: the pass runs once, as evaluation_count says
+        assert len(calls) == got.evaluation_count
 
     @given(
         st.one_of(_dd_words, st.builds(DoubleDouble, st.floats(), st.floats())),
@@ -333,14 +355,6 @@ class TestDoubleDoubleKernel:
     def test_scaling_by_a_half_or_quarter_is_the_division_bitwise(self, x, y, op, d):
         z = {"+": x + y, "-": x - y, "*": x * y, "raw": x}[op]
         assert _bits(DoubleDouble(*_scale_down(z.hi, z.lo, d, 1.0 / d))) == _bits(z / d)
-
-    @given(_dd_words, _dd_words, st.integers(1, 10**6))
-    @settings(max_examples=300)
-    @example(DoubleDouble(math.inf), DoubleDouble(-math.inf), 3)
-    @example(DoubleDouble(1e308), DoubleDouble(1e308), 7)
-    def test_word_helpers_match_the_operators_bitwise(self, x, y, n):
-        assert _bits(DoubleDouble(*_add_words(x.hi, x.lo, y.hi, y.lo))) == _bits(x + y)
-        assert _bits(DoubleDouble(*_div_words(x.hi, x.lo, float(n)))) == _bits(x / n)
 
 
 class TestTheoremAndConvergence:

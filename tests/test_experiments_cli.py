@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import pytest
 
 from quintiq.cli import main
@@ -172,6 +173,17 @@ class TestCliIntegrate:
         )
         payload = json.loads(r.stdout)
         assert payload["convexity"]["verdict"] == "consistent-with-convex"
+
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    def test_interval_where_k_times_the_width_overflows(self, precision, capsys):
+        # (n - 1)(b - a) is beyond the double range for n > 15; the answer is ln 3.5
+        code = main([
+            "integrate", "--fn", "1/x", "--a", "5e306", "--b", "1.75e307", "--eps", "1e-14",
+            "--strategy", "doubling", "--precision", precision, "--output", "json",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert abs(mpmath.mpf(payload["value"]) - mpmath.log(3.5)) <= 1e-14
 
     def test_csv_output(self):
         r = run_cli(

@@ -15,6 +15,7 @@ from quintiq.scalars import (
     DOUBLE_DOUBLE,
     DoubleDouble,
     MPFloatContext,
+    _add_words,
     dd_exp,
     dd_ln,
     dd_sqrt,
@@ -131,6 +132,15 @@ def test_dd_operators_match_the_eft_reference_bitwise(x, other, flip, op):
         ahi, bhi = DoubleDouble._coerce(a).hi, DoubleDouble._coerce(b).hi
         want_hi, want_lo = ahi + (bhi if op == "+" else -bhi), 0.0
     assert _bits(got.hi, got.lo) == _bits(want_hi, want_lo)
+
+
+@given(dd_values(), dd_values())
+@settings(max_examples=300)
+@example(DoubleDouble(math.inf), DoubleDouble(-math.inf))
+@example(DoubleDouble(1e308), DoubleDouble(1e308))
+def test_word_helpers_match_the_operators_bitwise(x, y):
+    r = x + y
+    assert _bits(*_add_words(x.hi, x.lo, y.hi, y.lo)) == _bits(r.hi, r.lo)
 
 
 # sha256 of the (hi, lo) bits of dd_exp, dd_sqrt and dd_ln on the points
@@ -306,11 +316,15 @@ def test_dd_comparisons():
     assert float((1 - a) / 2) == pytest.approx(0.45)
 
 
-@pytest.mark.parametrize("v", [1.0, 0.5, 2**53 + 1])
+@pytest.mark.parametrize("v", [1.0, 0.5, 2**53 + 1, math.inf, -math.inf])
 def test_dd_hash_agrees_with_equality(v):
     x = DOUBLE_DOUBLE.const(v)
     assert x == v
     assert hash(x) == hash(v)
+
+
+def test_dd_hash_of_nan_does_not_raise():
+    assert DoubleDouble(1.0) in {DoubleDouble(math.nan), DoubleDouble(1.0)}
 
 
 def test_dd_abs_and_neg():
