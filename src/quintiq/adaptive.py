@@ -11,7 +11,11 @@ Two searches find that n.  ``linear`` tries n = 1, 2, 3, ... and is minimal
 unconditionally.  ``doubling`` brackets the crossing and predicts each next
 probe from the gap law |L_n - G_n| ~ C n^-6 (n^-4 for the cubic pair); it
 returns the same minimal n whenever the gap sequence is non-increasing, with
-a small fraction of the composite passes.
+a small fraction of the composite passes.  Small n are pre-asymptotic, so
+while the law predicts an n at least ``_LADDER`` times the current one the
+search only doubles n: those passes cost about 1/8 of the answer's, and the
+prediction from the last of them usually lands on the answer or one below
+it, so the search ends after about two full passes.
 
 The error guarantee is conditional on the convexity hypothesis; it is the
 caller's responsibility (see ``quintiq.convexity`` for sampled evidence).
@@ -127,6 +131,10 @@ def _search_linear(probe: GapProbe, threshold, n_max: int, epsilon):
 #: is clamped to it so that the predicted n stays a finite integer.
 _RATIO_CAP = 1e300
 
+#: Before any probe has passed, a prediction at least this many times the
+#: current n is not trusted: the next probe doubles n instead.
+_LADDER = 32
+
 
 def _predict(n: int, gap, threshold, order: int) -> int:
     """Smallest m with C m^-order <= threshold, for C fitted to gap at n.
@@ -146,19 +154,22 @@ def _search_doubling(probe: GapProbe, threshold, n_max: int, epsilon):
     Keeps gap(lo) > threshold >= gap(hi), lo = 0 standing for "no failing
     probe yet", and stops when hi - lo == 1.  Each next probe is predicted
     from the last one by the gap law C n^-p, clamped into (lo, hi) and to
-    n_max.  Two safeguards, in the style of Brent's zero finder, bound the
-    probe count by a small multiple of bisection's whatever the gaps do: a
-    bracketed step that did not halve the bracket is followed by a midpoint
-    step, and once n = 1 and two predictions have failed with no passing
-    probe yet, every further probe at least doubles n.  The result is the
-    minimal n whenever the gap sequence is non-increasing.
+    n_max.  Until a probe passes, a prediction of _LADDER times n or more
+    is not trusted and the next probe is 2n.  This ladder never lands
+    above twice the answer, and where the law holds its passes together
+    cost about 1/8 of the answer's.  Two safeguards, in the style of
+    Brent's zero finder, bound the probe count by a small multiple of
+    bisection's whatever the gaps do: a bracketed step that did not halve
+    the bracket is followed by a midpoint step, and once four probes off
+    the ladder have failed with no passing probe yet, every further probe
+    at least doubles n.  The result is the minimal n whenever the gap
+    sequence is non-increasing.
     """
     order = GAP_ORDER[probe.rule_pair]
     history = []
     lo, hi = 0, None
     n, width = 1, None  # width: the bracket when the current probe was chosen
-    # failed probes while none has passed; n = 1 is pre-asymptotic and the
-    # prediction from it usually falls short, so doubling waits for a fourth
+    # failed probes off the ladder while none has passed
     misses = 0
     while True:
         gap = probe.gap(n)
@@ -172,6 +183,9 @@ def _search_doubling(probe: GapProbe, threshold, n_max: int, epsilon):
             if n >= n_max:
                 best_n, best_gap = _best(history)
                 raise BudgetExceeded(n_max, epsilon, best_n, best_gap)
+            if guess >= _LADDER * n:
+                n = min(2 * n, n_max)
+                continue
             misses += 1
             if misses >= 4:
                 guess = max(guess, 2 * n)

@@ -17,7 +17,7 @@ from quintiq.adaptive import (
     integrate_adaptive_cubic,
     _search_doubling,
 )
-from quintiq.composite import QUINTIC_PAIR
+from quintiq.composite import CUBIC_PAIR, QUINTIC_PAIR
 from quintiq.rules import Interval
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, mp_context
 
@@ -205,10 +205,9 @@ class TestStrategies:
 class _StubProbe:
     """A GapProbe stand-in whose gap sequence is a plain function of n."""
 
-    rule_pair = QUINTIC_PAIR
-
-    def __init__(self, gap):
+    def __init__(self, gap, rule_pair=QUINTIC_PAIR):
         self.gap = gap
+        self.rule_pair = rule_pair
 
 
 class TestSearchSafeguards:
@@ -233,10 +232,52 @@ class TestSearchSafeguards:
         assert history[-1][0] == k
         assert len(history) <= 3 * self.N_MAX.bit_length()
 
+    @pytest.mark.parametrize("k", [2, 17, 12345])
+    def test_cliff_never_probes_above_twice_the_answer(self, k):
+        # the first gap predicts n ~ 1e50; the ladder doubles n instead of
+        # jumping to n_max
+        def gap(n):
+            return 1e300 if n < k else 0.0
+
+        n, history = _search_doubling(_StubProbe(gap), 1.0, self.N_MAX, 1)
+        assert n == k
+        assert max(m for m, _ in history) <= 2 * k
+
+    @given(
+        rule_pair=st.sampled_from([QUINTIC_PAIR, CUBIC_PAIR]),
+        q=st.one_of(st.sampled_from([4.0, 6.0]), st.floats(min_value=0.5, max_value=12.0)),
+        c=st.floats(min_value=1e-6, max_value=1e6),
+        d=st.floats(min_value=0.0, max_value=100.0),
+        log_answer=st.floats(min_value=0.0, max_value=5.0),
+        n_max=st.integers(min_value=1, max_value=10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gap_laws_reach_the_first_passing_n(self, rule_pair, q, c, d, log_answer, n_max):
+        # non-increasing gaps C n^-q (1 + D n^-2), with q equal to the pair's
+        # order or not, and thresholds whose answer n* goes up to 10^5
+        def gap(n):
+            return c * n**-q * (1 + d * n**-2)
+
+        threshold = gap(10**log_answer)
+        first = next((m for m in range(1, n_max + 1) if gap(m) <= threshold), None)
+        probe = _StubProbe(gap, rule_pair)
+        if first is None:
+            with pytest.raises(BudgetExceeded):
+                _search_doubling(probe, threshold, n_max, threshold / 4)
+            return
+        n, history = _search_doubling(probe, threshold, n_max, threshold / 4)
+        assert n == first
+        assert len(history) <= 3 * n_max.bit_length()
+
+
+def _pass_calls(rule_pair, n):
+    """Integrand calls of one composite pass at n."""
+    return (6 if rule_pair is QUINTIC_PAIR else 5) * n + 1
+
 
 class TestSearchCost:
-    """Evaluation budgets of the doubling search on the paper's hardest
-    Experiment 1 row."""
+    """The doubling search certifies its answer for little more than the
+    two passes that any proof of minimality needs, at n and n - 1."""
 
     IV = Interval(DOUBLE_DOUBLE.const(1), DOUBLE_DOUBLE.const(2))
 
@@ -245,12 +286,20 @@ class TestSearchCost:
             _inv(DOUBLE_DOUBLE), self.IV, "1e-16", DOUBLING, ctx=DOUBLE_DOUBLE
         )
         assert r.n_final == 1572
-        assert r.evaluations <= 30_000
+        assert r.evaluations <= 2.25 * _pass_calls(CUBIC_PAIR, r.n_final)
 
     def test_quintic_reciprocal_1e16_dd(self):
         r = integrate_adaptive(_inv(DOUBLE_DOUBLE), self.IV, "1e-16", DOUBLING, ctx=DOUBLE_DOUBLE)
         assert r.n_final == 84
-        assert r.evaluations <= 2_000
+        assert r.evaluations <= 2.25 * _pass_calls(QUINTIC_PAIR, r.n_final)
+
+    def test_cubic_exp_to_ten_1e8_dd(self):
+        # the last row of Experiment 2
+        ctx = DOUBLE_DOUBLE
+        iv = Interval(ctx.const(0), ctx.const(10))
+        r = integrate_adaptive_cubic(ctx.exp, iv, "1e-8", DOUBLING, ctx=ctx)
+        assert r.n_final == 1244
+        assert r.evaluations <= 2.25 * _pass_calls(CUBIC_PAIR, r.n_final)
 
 
 class TestDominance:
