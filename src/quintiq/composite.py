@@ -11,15 +11,22 @@ The pass has one implementation per kind of context.  ``_pair_ops``
 computes it through the context's scalar operators and serves ``double``
 and ``mp``.  ``_pair_dd`` serves ``dd``: it runs the same pass on the
 (hi, lo) float words of each value, with the word operations of
-``scalars``, and creates no DoubleDouble but the abscissae handed to the
-integrand.  It performs the float operations of each DoubleDouble operator
-it stands in for in the same order, so every ``CompositePair`` is bitwise
-equal to the operator path's, which the tests keep as its oracle.
+``scalars``, in three phases per block of subintervals: the abscissae's
+words, the integrand's values at them, then the sums.  An integrand bound
+by ``as_integrand`` is evaluated by its tape's ``dd_words`` entry, once
+over many abscissae and without a DoubleDouble per call; any other
+integrand is called once per abscissa through ``call_integrand``, in the
+order of ``_pair_ops``.  The
+pass performs the float operations of each DoubleDouble operator it stands
+in for in the same order, so every ``CompositePair`` and every
+``IntegrandError`` is equal to the operator path's, which the tests keep as
+its oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .rules import Integrand, Interval, RuleId, blend_q, call_integrand, rule_table
 from .scalars import _SPLITTER, DOUBLE, DoubleDouble, DoubleDoubleContext
@@ -144,23 +151,84 @@ def _scale_down(hi: float, lo: float, d: float, r: float) -> tuple[float, float]
 
 
 def _rule_steps(open_points, closed_points) -> tuple:
-    """Per rule, its steps (end, w_hi, w_lo, w_h, w_l, t_hi, t_lo, t_h, t_l):
-    end is -1 for a node t, else the offset from the subinterval's left
-    partition point of an endpoint; (w_h, w_l) and (t_h, t_l) are splits."""
+    """(nodes, open steps, closed steps) of a rule pair.
 
-    def step(end, weight, node):
-        return (end, weight.hi, weight.lo, *_split(weight.hi),
-                node.hi, node.lo, *_split(node.hi))
+    nodes holds (t_hi, t_lo, t_h, t_l) for each node t of the open rule,
+    then each interior node of the closed rule: the order in which a
+    subinterval's abscissae are evaluated.  Each rule's steps are (end,
+    w_hi, w_lo, w_h, w_l) per point: end is -1 for a node, else the offset
+    from the subinterval's left partition point of an endpoint.  (t_h, t_l)
+    and (w_h, w_l) are Dekker splits.
+    """
 
-    zero = DoubleDouble(0.0)
-    closed = [step(0, closed_points[0][1], zero)]
-    closed += [step(-1, w, t) for t, w in closed_points[1:-1]]
-    closed.append(step(1, closed_points[-1][1], zero))
-    return tuple(step(-1, w, t) for t, w in open_points), tuple(closed)
+    def words(v):
+        return v.hi, v.lo, *_split(v.hi)
+
+    interior = closed_points[1:-1]
+    nodes = tuple(words(t) for t, _w in (*open_points, *interior))
+    open_steps = tuple((-1, *words(w)) for _t, w in open_points)
+    closed_steps = (
+        (0, *words(closed_points[0][1])),
+        *((-1, *words(w)) for _t, w in interior),
+        (1, *words(closed_points[-1][1])),
+    )
+    return nodes, open_steps, closed_steps
+
+
+#: Abscissae that one run of a tape's ``dd_words`` entry evaluates at most,
+#: which bounds the word lists a run holds whatever n is.
+_BATCH = 256
+
+
+def _values(f, dd_words, xh, xl, ks, per: int) -> tuple[list, list]:
+    """(hi words, lo words) of f at the abscissae DoubleDouble(xh[j], xl[j]),
+    which lie in subintervals ks, per abscissae to each.
+
+    With a batch entry ``dd_words`` (a dd-bound tape's), runs of it evaluate
+    `_BATCH` abscissae at a time.  If one raises, or without the entry, f is
+    called per abscissa through `call_integrand`, in list order, which
+    raises the first failure as the `IntegrandError` of its subinterval.  A
+    value that is not a DoubleDouble is kept as its own hi word, with None
+    for its lo word.
+    """
+    if dd_words is not None:
+        try:
+            yh = []
+            yl = []
+            for i in range(0, len(xh), _BATCH):
+                hs, ls = dd_words(xh[i : i + _BATCH], xl[i : i + _BATCH])
+                yh += hs
+                yl += ls
+            return yh, yl
+        except (ArithmeticError, ValueError):
+            pass
+    subintervals = ks if per == 1 else chain.from_iterable(repeat(k, per) for k in ks)
+    yh = []
+    yl = []
+    put_hi = yh.append
+    put_lo = yl.append
+    for hi, lo, k in zip(xh, xl, subintervals):
+        y = call_integrand(f, DoubleDouble(hi, lo), k)
+        if type(y) is DoubleDouble:
+            put_hi(y.hi)
+            put_lo(y.lo)
+        else:
+            put_hi(y)
+            put_lo(None)
+    return yh, yl
 
 
 def _pair_dd(f, iv, n, ctx, open_points, closed_points):
-    """_pair_ops for a double-double context, on float words."""
+    """_pair_ops for a double-double context, on float words.
+
+    It computes the partition and evaluates f at its n+1 points, then runs
+    through the subintervals in blocks of at most `_BATCH` nodes.  For each
+    block it computes the abscissae of the nodes and the values of f at
+    them, then adds the block's subintervals to the sums, so the lists it
+    holds beyond the partition's stay within a block.  f is called at the
+    abscissae of _pair_ops, in its order, unless its ``dd_words`` entry
+    evaluates them (see `_values`).
+    """
     a = ctx.const(iv.a)
     b = ctx.const(iv.b)
     width = b - a
@@ -199,133 +267,160 @@ def _pair_dd(f, iv, n, ctx, open_points, closed_points):
         xl.append(lo)
     xh.append(b.hi)
     xl.append(b.lo)
-    ends = [
-        call_integrand(f, DoubleDouble(xh[k], xl[k]), max(k, 1)) for k in range(n + 1)
-    ]
+    dd_words = getattr(f, "dd_words", None)
+    eh, el = _values(f, dd_words, xh, xl, chain((1,), range(1, n + 1)), 1)
 
-    open_steps, closed_steps = _rule_steps(open_points, closed_points)
-    for k in range(1, n + 1):
-        ahi = xh[k - 1]
-        alo = xl[k - 1]
-        bhi = xh[k]
-        blo = xl[k]
-        # h = (b_k - a_k) / 2, as __sub__ adds the negated words
-        hhi, hlo = _scale_down(*_add_words(bhi, blo, -ahi, -alo), 2.0, 0.5)
-        hh, hl = _split(hhi)
-        # m = (a_k + b_k) / 2
-        mhi, mlo = _scale_down(*_add_words(ahi, alo, bhi, blo), 2.0, 0.5)
-
-        for steps in (open_steps, closed_steps):
-            shi = None
-            for end, w_hi, w_lo, w_h, w_l, t_hi, t_lo, t_h, t_l in steps:
-                if end < 0:
-                    # h.__mul__(t)
-                    p = hhi * t_hi
-                    e = ((hh * t_h - p) + hh * t_l + hl * t_h) + hl * t_l
-                    e += hhi * t_lo + hlo * t_hi
-                    bhi = p + e
-                    blo = e - (bhi - p)
-                    if blo != blo:
-                        bhi = p
-                        blo = 0.0
-                    # m.__add__(h * t)
-                    s = mhi + bhi
-                    v = s - mhi
-                    e = (mhi - (s - v)) + (bhi - v)
-                    t = mlo + blo
-                    v = t - mlo
-                    ft = (mlo - (t - v)) + (blo - v)
-                    e += t
-                    u = s + e
-                    e = e - (u - s)
-                    e += ft
-                    hi = u + e
-                    lo = e - (hi - u)
-                    if lo != lo:
-                        hi = s
-                        lo = 0.0
-                    y = call_integrand(f, DoubleDouble(hi, lo), k)
-                else:
-                    y = ends[k - 1 + end]
-                if type(y) is DoubleDouble:
-                    # w.__mul__(y)
-                    yhi = y.hi
-                    ylo = y.lo
-                    p = w_hi * yhi
-                    c = _SPLITTER * yhi
-                    bh = c - (c - yhi)
-                    bl = yhi - bh
-                    e = ((w_h * bh - p) + w_h * bl + w_l * bh) + w_l * bl
-                    e += w_hi * ylo + w_lo * yhi
-                    bhi = p + e
-                    blo = e - (bhi - p)
-                    if blo != blo:
-                        bhi = p
-                        blo = 0.0
-                else:
-                    # any other value: the operator coerces it, or raises
-                    y = DoubleDouble(w_hi, w_lo) * y
-                    bhi = y.hi
-                    blo = y.lo
-                if shi is None:
-                    shi = bhi
-                    slo = blo
-                    continue
-                # sum.__add__(w * y)
-                s = shi + bhi
-                v = s - shi
-                e = (shi - (s - v)) + (bhi - v)
-                t = slo + blo
-                v = t - slo
-                ft = (slo - (t - v)) + (blo - v)
+    nodes, open_steps, closed_steps = _rule_steps(open_points, closed_points)
+    block_len = _BATCH // len(nodes)
+    for k0 in range(1, n + 1, block_len):
+        block = range(k0, min(k0 + block_len, n + 1))
+        # the abscissae m + h * t of the block's nodes, and each h with its
+        # split; an integrand with dd_words is evaluated at all of them
+        # afterwards, any other is called at each as it is computed
+        hs = []
+        vh = []
+        vl = []
+        put_hi = vh.append
+        put_lo = vl.append
+        for k in block:
+            ahi = xh[k - 1]
+            alo = xl[k - 1]
+            bhi = xh[k]
+            blo = xl[k]
+            # h = (b_k - a_k) / 2, as __sub__ adds the negated words
+            hhi, hlo = _scale_down(*_add_words(bhi, blo, -ahi, -alo), 2.0, 0.5)
+            hh, hl = _split(hhi)
+            hs.append((hhi, hlo, hh, hl))
+            # m = (a_k + b_k) / 2
+            mhi, mlo = _scale_down(*_add_words(ahi, alo, bhi, blo), 2.0, 0.5)
+            for t_hi, t_lo, t_h, t_l in nodes:
+                # h.__mul__(t)
+                p = hhi * t_hi
+                e = ((hh * t_h - p) + hh * t_l + hl * t_h) + hl * t_l
+                e += hhi * t_lo + hlo * t_hi
+                bhi = p + e
+                blo = e - (bhi - p)
+                if blo != blo:
+                    bhi = p
+                    blo = 0.0
+                # m.__add__(h * t)
+                s = mhi + bhi
+                v = s - mhi
+                e = (mhi - (s - v)) + (bhi - v)
+                t = mlo + blo
+                v = t - mlo
+                ft = (mlo - (t - v)) + (blo - v)
                 e += t
                 u = s + e
                 e = e - (u - s)
                 e += ft
-                shi = u + e
-                slo = e - (shi - u)
-                if slo != slo:
-                    shi = s
-                    slo = 0.0
-            # h.__mul__(sum): g_k after the open rule, l_k after the closed
-            p = hhi * shi
-            c = _SPLITTER * shi
-            bh = c - (c - shi)
-            bl = shi - bh
-            e = ((hh * bh - p) + hh * bl + hl * bh) + hl * bl
-            e += hhi * slo + hlo * shi
-            r_hi = p + e
-            r_lo = e - (r_hi - p)
-            if r_lo != r_lo:
-                r_hi = p
-                r_lo = 0.0
-            if steps is open_steps:
-                g_hi = r_hi
-                g_lo = r_lo
-        l_hi = r_hi
-        l_lo = r_lo
+                hi = u + e
+                lo = e - (hi - u)
+                if lo != lo:
+                    hi = s
+                    lo = 0.0
+                if dd_words is not None:
+                    put_hi(hi)
+                    put_lo(lo)
+                    continue
+                y = call_integrand(f, DoubleDouble(hi, lo), k)
+                if type(y) is DoubleDouble:
+                    put_hi(y.hi)
+                    put_lo(y.lo)
+                else:
+                    put_hi(y)
+                    put_lo(None)
+        if dd_words is not None:
+            vh, vl = _values(f, dd_words, vh, vl, block, len(nodes))
+        next_value = zip(vh, vl).__next__
 
-        # blend_q: g_k.__mul__(3), .__add__(l_k), then / 4
-        p = g_hi * 3.0
-        c = _SPLITTER * g_hi
-        bh = c - (c - g_hi)
-        bl = g_hi - bh
-        e = ((bh * 3.0 - p) + bh * 0.0 + bl * 3.0) + bl * 0.0  # 3.0 splits as (3.0, 0.0)
-        e += g_hi * 0.0 + g_lo * 3.0
-        hi = p + e
-        lo = e - (hi - p)
-        if lo != lo:
-            hi = p
-            lo = 0.0
-        q_hi, q_lo = _scale_down(*_add_words(hi, lo, l_hi, l_lo), 4.0, 0.25)
+        for k, (hhi, hlo, hh, hl) in zip(block, hs):
+            for steps in (open_steps, closed_steps):
+                shi = None
+                for end, w_hi, w_lo, w_h, w_l in steps:
+                    if end < 0:
+                        yhi, ylo = next_value()
+                    else:
+                        i = k - 1 + end
+                        yhi = eh[i]
+                        ylo = el[i]
+                    if ylo is not None:
+                        # w.__mul__(y)
+                        p = w_hi * yhi
+                        c = _SPLITTER * yhi
+                        bh = c - (c - yhi)
+                        bl = yhi - bh
+                        e = ((w_h * bh - p) + w_h * bl + w_l * bh) + w_l * bl
+                        e += w_hi * ylo + w_lo * yhi
+                        bhi = p + e
+                        blo = e - (bhi - p)
+                        if blo != blo:
+                            bhi = p
+                            blo = 0.0
+                    else:
+                        # any other value: the operator coerces it, or raises
+                        y = DoubleDouble(w_hi, w_lo) * yhi
+                        bhi = y.hi
+                        blo = y.lo
+                    if shi is None:
+                        shi = bhi
+                        slo = blo
+                        continue
+                    # sum.__add__(w * y)
+                    s = shi + bhi
+                    v = s - shi
+                    e = (shi - (s - v)) + (bhi - v)
+                    t = slo + blo
+                    v = t - slo
+                    ft = (slo - (t - v)) + (blo - v)
+                    e += t
+                    u = s + e
+                    e = e - (u - s)
+                    e += ft
+                    shi = u + e
+                    slo = e - (shi - u)
+                    if slo != slo:
+                        shi = s
+                        slo = 0.0
+                # h.__mul__(sum): g_k after the open rule, l_k after the closed
+                p = hhi * shi
+                c = _SPLITTER * shi
+                bh = c - (c - shi)
+                bl = shi - bh
+                e = ((hh * bh - p) + hh * bl + hl * bh) + hl * bl
+                e += hhi * slo + hlo * shi
+                r_hi = p + e
+                r_lo = e - (r_hi - p)
+                if r_lo != r_lo:
+                    r_hi = p
+                    r_lo = 0.0
+                if steps is open_steps:
+                    g_hi = r_hi
+                    g_lo = r_lo
+            l_hi = r_hi
+            l_lo = r_lo
 
-        if k == 1:
-            gt_hi, gt_lo, lt_hi, lt_lo, qt_hi, qt_lo = g_hi, g_lo, l_hi, l_lo, q_hi, q_lo
-            continue
-        # g_total.__add__(g_k), then the same for l and q
-        gt_hi, gt_lo = _add_words(gt_hi, gt_lo, g_hi, g_lo)
-        lt_hi, lt_lo = _add_words(lt_hi, lt_lo, l_hi, l_lo)
-        qt_hi, qt_lo = _add_words(qt_hi, qt_lo, q_hi, q_lo)
+            # blend_q: g_k.__mul__(3), .__add__(l_k), then / 4
+            p = g_hi * 3.0
+            c = _SPLITTER * g_hi
+            bh = c - (c - g_hi)
+            bl = g_hi - bh
+            e = ((bh * 3.0 - p) + bh * 0.0 + bl * 3.0) + bl * 0.0  # 3.0 splits as (3.0, 0.0)
+            e += g_hi * 0.0 + g_lo * 3.0
+            hi = p + e
+            lo = e - (hi - p)
+            if lo != lo:
+                hi = p
+                lo = 0.0
+            q_hi, q_lo = _scale_down(*_add_words(hi, lo, l_hi, l_lo), 4.0, 0.25)
+
+            if k == 1:
+                gt_hi, gt_lo, lt_hi, lt_lo, qt_hi, qt_lo = g_hi, g_lo, l_hi, l_lo, q_hi, q_lo
+                continue
+            # g_total.__add__(g_k), then the same for l and q
+            gt_hi, gt_lo = _add_words(gt_hi, gt_lo, g_hi, g_lo)
+            lt_hi, lt_lo = _add_words(lt_hi, lt_lo, l_hi, l_lo)
+            qt_hi, qt_lo = _add_words(qt_hi, qt_lo, q_hi, q_lo)
     return (
         DoubleDouble(gt_hi, gt_lo),
         DoubleDouble(lt_hi, lt_lo),

@@ -24,6 +24,13 @@ constants are folded exactly and converted once, when the tape is bound.
 Derivative trees repeat whole subtrees (the sixth derivative of ``1/x`` has
 36,961 nodes but 312 distinct operations), so a call runs each distinct
 operation once.  The trees themselves are never rewritten.
+
+In double-double the tape has one runner, on lists of (hi, lo) float
+words: each instruction runs over all the abscissae of a list with a list
+kernel of ``scalars``, which performs the float operations of the
+DoubleDouble operator per element, so every value is bitwise that of the
+operators.  A call at one abscissa runs it on one-element lists, and the
+callable's ``dd_words`` entry runs it over many, as a composite pass does.
 """
 from __future__ import annotations
 
@@ -32,7 +39,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .scalars import DOUBLE, short_decimal
+from .scalars import DOUBLE, DoubleDouble, DoubleDoubleContext, short_decimal
+from .scalars import _add_lists, _div_lists, _map_lists, _mul_lists, _neg_lists
+from .scalars import _plus_lists, _pow_lists, _sub_lists, _zero_in_lists
 
 
 class ExprError(Exception):
@@ -372,8 +381,19 @@ def as_integrand(node: ExprNode, ctx=DOUBLE):
     function of its operands, so sharing equal subtrees changes no value,
     and the first domain error raised is the one a recursive walk would
     raise.  Reuse the callable: binding costs a walk over the tree.
+
+    In a double-double context the callable also has ``dd_words(hs, ls)``,
+    which runs the tape once over the abscissae ``DoubleDouble(hs[i],
+    ls[i])`` of two non-empty lists of float words, and returns the values'
+    words as two lists; a call ``f(x)`` is that run on one-element lists.
+    Each value is bitwise equal to ``f`` at its abscissa.  When a run over
+    several abscissae meets a domain error, they are run again one at a
+    time in order, so the error raised is the one the first failing
+    abscissa raises alone.
     """
     init, tape, out = _compile(node, ctx)
+    if isinstance(ctx, DoubleDoubleContext):
+        return _dd_integrand(init, tape, out, ctx)
     const, exp, ln = ctx.const, ctx.exp, ctx.ln
 
     def run(x):
@@ -408,30 +428,107 @@ def as_integrand(node: ExprNode, ctx=DOUBLE):
                 except OverflowError:
                     raise DomainError("exp overflow", x) from None
             elif op == _LN:
-                v = r[a]
-                if v <= 0:
-                    raise DomainError("ln of a non-positive argument", x)
-                r[dst] = ln(v)
+                r[dst] = _ln_step(r[a], x, ln)
             elif op == _PLUS:
                 v = r[a]
-                r[dst] = v if v > 0 else b
-            else:  # _ROOT: fractional power, defined for positive bases only
-                v = r[a]
-                k, zero = b
-                if v == 0:
-                    if zero is None:
-                        raise DomainError("zero raised to a negative power", x)
-                    r[dst] = zero
-                elif v < 0:
-                    raise DomainError("fractional power of a negative base", x)
-                else:
-                    try:
-                        r[dst] = exp(k * ln(v))
-                    except OverflowError:
-                        raise DomainError("power overflow", x) from None
+                r[dst] = b if v <= 0 else v
+            else:
+                r[dst] = _root_step(r[a], b, x, exp, ln)
         return r[out]
 
     return run
+
+
+def _dd_integrand(init, tape, out, ctx):
+    """The tape's one runner in double-double: every instruction runs over
+    whole lists of (hi, lo) words, with the list kernels of ``scalars``;
+    exp, ln and fractional powers go through ``ctx`` element by element."""
+    consts = [(slot, c.hi, c.lo) for slot, c in enumerate(init) if c is not None]
+    size = len(init)
+    const, exp, ln = ctx.const, ctx.exp, ctx.ln
+
+    def run(hs, ls, x):
+        # x is the abscissa domain errors name: a run over several abscissae
+        # that fails is repeated one abscissa at a time, so only the errors
+        # of one-element runs leave dd_words
+        m = len(hs)
+        r = [None] * size
+        r[0] = (hs, ls)
+        for slot, hi, lo in consts:
+            r[slot] = ([hi] * m, [lo] * m)
+        for op, dst, a, b in tape:
+            if op == _MUL:
+                r[dst] = _mul_lists(*r[a], *r[b])
+            elif op == _ADD:
+                r[dst] = _add_lists(*r[a], *r[b])
+            elif op == _SUB:
+                r[dst] = _sub_lists(*r[a], *r[b])
+            elif op == _POW:
+                if b < 0 and _zero_in_lists(*r[a]):
+                    raise DomainError("zero raised to a negative power", x)
+                try:
+                    r[dst] = _pow_lists(*r[a], b)
+                except OverflowError:
+                    raise DomainError("power overflow", x) from None
+            elif op == _DIV:
+                if _zero_in_lists(*r[b]):
+                    raise DomainError("division by zero", x)
+                r[dst] = _div_lists(*r[a], *r[b])
+            elif op == _NEG:
+                r[dst] = _neg_lists(*r[a])
+            elif op == _EXP:
+                try:
+                    r[dst] = _map_lists(exp, *r[a])
+                except OverflowError:
+                    raise DomainError("exp overflow", x) from None
+            elif op == _LN:
+                r[dst] = _map_lists(lambda v: _ln_step(v, x, ln), *r[a])
+            elif op == _PLUS:
+                r[dst] = _plus_lists(*r[a])
+            else:
+                r[dst] = _map_lists(lambda v: _root_step(v, b, x, exp, ln), *r[a])
+        return r[out]
+
+    def f(x):
+        x = const(x)
+        (hi,), (lo,) = run([x.hi], [x.lo], x)
+        return DoubleDouble(hi, lo)
+
+    def dd_words(hs, ls):
+        try:
+            return run(hs, ls, DoubleDouble(hs[0], ls[0]))
+        except (ArithmeticError, ValueError):
+            if len(hs) == 1:
+                raise
+        values = [f(DoubleDouble(h, lo)) for h, lo in zip(hs, ls)]
+        return [v.hi for v in values], [v.lo for v in values]
+
+    f.dd_words = dd_words
+    return f
+
+
+# The steps of both runners that take a value at a time.
+
+
+def _ln_step(v, x, ln):
+    if v <= 0:
+        raise DomainError("ln of a non-positive argument", x)
+    return ln(v)
+
+
+def _root_step(v, b, x, exp, ln):
+    """A fractional power, defined for positive bases only."""
+    k, zero = b
+    if v == 0:
+        if zero is None:
+            raise DomainError("zero raised to a negative power", x)
+        return zero
+    if v < 0:
+        raise DomainError("fractional power of a negative base", x)
+    try:
+        return exp(k * ln(v))
+    except OverflowError:
+        raise DomainError("power overflow", x) from None
 
 
 # Tape opcodes.  An instruction is (opcode, dst, a, b): registers a and b

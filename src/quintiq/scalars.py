@@ -321,40 +321,38 @@ class DoubleDouble:
         return DoubleDouble(-self.hi, -self.lo) if self.hi < 0.0 else self
 
     # -- comparisons (valid because of the normalization invariant) -----
+    # (hi, lo) ordered lexicographically; every ordered comparison with a
+    # nan word is False, as it is for float
 
-    def _cmp(self, other):
+    def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.hi != o.hi:
-            return -1 if self.hi < o.hi else 1
-        if self.lo != o.lo:
-            return -1 if self.lo < o.lo else 1
-        return 0
-
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __ne__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c != 0
+        return self.hi == o.hi and self.lo == o.lo
 
     def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.hi < o.hi or (self.hi == o.hi and self.lo < o.lo)
 
     def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.hi < o.hi or (self.hi == o.hi and self.lo <= o.lo)
 
     def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.hi > o.hi or (self.hi == o.hi and self.lo > o.lo)
 
     def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.hi > o.hi or (self.hi == o.hi and self.lo >= o.lo)
 
     def __hash__(self):
         if not math.isfinite(self.hi):
@@ -368,6 +366,154 @@ class DoubleDouble:
 
     def __repr__(self):
         return f"DoubleDouble({self.hi!r}, {self.lo!r})"
+
+
+# -- list kernels: one operator over lists of words --------------------------
+#
+# Each takes the (hi, lo) words of its operands as parallel lists and
+# returns the words of the results as two new lists.  Per element it
+# performs the float operations of the DoubleDouble operator it stands in
+# for, in the same order, so each result is bitwise equal to that
+# operator's.  The expression tape runs on them in double-double.
+
+_INF = math.inf
+
+
+def _add_lists(ah, al, bh, bl) -> tuple[list, list]:
+    """DoubleDouble(ah[i], al[i]) + DoubleDouble(bh[i], bl[i]), as words."""
+    hs = []
+    ls = []
+    put_hi = hs.append
+    put_lo = ls.append
+    for ahi, alo, bhi, blo in zip(ah, al, bh, bl):
+        s = ahi + bhi
+        v = s - ahi
+        e = (ahi - (s - v)) + (bhi - v)
+        t = alo + blo
+        v = t - alo
+        f = (alo - (t - v)) + (blo - v)
+        e += t
+        u = s + e
+        e = e - (u - s)
+        e += f
+        hi = u + e
+        lo = e - (hi - u)
+        if lo != lo:
+            hi = s
+            lo = 0.0
+        put_hi(hi)
+        put_lo(lo)
+    return hs, ls
+
+
+def _neg_lists(hs, ls) -> tuple[list, list]:
+    """-DoubleDouble(hs[i], ls[i]), as words."""
+    return [-h for h in hs], [-lo for lo in ls]
+
+
+def _sub_lists(ah, al, bh, bl) -> tuple[list, list]:
+    """DoubleDouble(ah[i], al[i]) - DoubleDouble(bh[i], bl[i]), as words:
+    __sub__ adds the negated words."""
+    return _add_lists(ah, al, *_neg_lists(bh, bl))
+
+
+def _mul_lists(ah, al, bh, bl) -> tuple[list, list]:
+    """DoubleDouble(ah[i], al[i]) * DoubleDouble(bh[i], bl[i]), as words."""
+    hs = []
+    ls = []
+    put_hi = hs.append
+    put_lo = ls.append
+    for a, alo, b, blo in zip(ah, al, bh, bl):
+        p = a * b
+        c = _SPLITTER * a
+        a_h = c - (c - a)
+        a_l = a - a_h
+        c = _SPLITTER * b
+        b_h = c - (c - b)
+        b_l = b - b_h
+        e = ((a_h * b_h - p) + a_h * b_l + a_l * b_h) + a_l * b_l
+        e += a * blo + alo * b
+        hi = p + e
+        lo = e - (hi - p)
+        if lo != lo:
+            hi = p
+            lo = 0.0
+        put_hi(hi)
+        put_lo(lo)
+    return hs, ls
+
+
+def _div_lists(ah, al, bh, bl) -> tuple[list, list]:
+    """DoubleDouble(ah[i], al[i]) / DoubleDouble(bh[i], bl[i]), as words;
+    raises ZeroDivisionError where __truediv__ does."""
+    hs = []
+    ls = []
+    for ahi, alo, d, dlo in zip(ah, al, bh, bl):
+        if d == 0.0:
+            raise ZeroDivisionError("double-double division by zero")
+        hi, lo = _div_words(ahi, alo, d, dlo)
+        hs.append(hi)
+        ls.append(lo)
+    return hs, ls
+
+
+def _pow_lists(hs, ls, n: int) -> tuple[list, list]:
+    """DoubleDouble(hs[i], ls[i]) ** n for an int n, as words; raises
+    OverflowError where __pow__ does.
+
+    The loop over the exponent's bits runs once for the whole list, with
+    the products, squarings and reciprocal of __pow__ from DoubleDouble(1.0)
+    on; only __pow__'s last squaring, whose value is never read, is left out.
+    """
+    m = len(hs)
+    rh = [1.0] * m
+    rl = [0.0] * m
+    bh = hs
+    bl = ls
+    k = abs(n)
+    while k:
+        if k & 1:
+            rh, rl = _mul_lists(rh, rl, bh, bl)
+        k >>= 1
+        if k:
+            bh, bl = _mul_lists(bh, bl, bh, bl)
+    if n < 0:
+        if 0.0 in rh:
+            for h, r in zip(hs, rh):
+                if r == 0.0 and h != 0.0:
+                    raise OverflowError("double-double power overflow")
+        return _div_lists([1.0] * m, [0.0] * m, rh, rl)
+    if _INF in rh or -_INF in rh:
+        for h, r in zip(hs, rh):
+            if math.isinf(r) and math.isfinite(h):
+                raise OverflowError("double-double power overflow")
+    return rh, rl
+
+
+def _plus_lists(hs, ls) -> tuple[list, list]:
+    """The zero DoubleDouble(0.0) where DoubleDouble(hs[i], ls[i]) <= 0, and
+    the element itself elsewhere, nan included, as words."""
+    ph = []
+    pl = []
+    for h, lo in zip(hs, ls):
+        if h < 0.0 or (h == 0.0 and lo <= 0.0):
+            ph.append(0.0)
+            pl.append(0.0)
+        else:
+            ph.append(h)
+            pl.append(lo)
+    return ph, pl
+
+
+def _zero_in_lists(hs, ls) -> bool:
+    """Whether some DoubleDouble(hs[i], ls[i]) == 0."""
+    return 0.0 in hs and any(h == 0.0 and lo == 0.0 for h, lo in zip(hs, ls))
+
+
+def _map_lists(fn, hs, ls) -> tuple[list, list]:
+    """fn(DoubleDouble(hs[i], ls[i])), a DoubleDouble, as words."""
+    values = [fn(DoubleDouble(h, lo)) for h, lo in zip(hs, ls)]
+    return [v.hi for v in values], [v.lo for v in values]
 
 
 _DD_LN2 = DoubleDouble.from_fraction(

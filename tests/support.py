@@ -15,8 +15,12 @@ import math
 from fractions import Fraction
 
 import mpmath
+from hypothesis import strategies as st
 
 from quintiq.composite import partition_points
+from quintiq.expr import (
+    Add, Constant, Div, DomainError, Exp, Ln, Mul, Neg, Plus, Pow, Sub, Variable,
+)
 from quintiq.rules import IntegrandError, Interval, call_integrand, rule_table
 from quintiq.scalars import DOUBLE, DoubleDouble
 
@@ -249,3 +253,90 @@ def composite_rule(rule_id, f, iv: Interval, n: int, ctx=DOUBLE):
             raise IntegrandError(exc.abscissa, exc.cause, k) from exc.cause
         total = piece if total is None else total + piece
     return total
+
+
+# Random expression trees, and a plain recursive evaluator that the compiled
+# tapes must match bit for bit.
+
+
+def _leaf():
+    return st.one_of(
+        st.just(Variable()),
+        st.integers(min_value=-9, max_value=9).map(lambda n: Constant(Fraction(n))),
+        st.tuples(
+            st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=9)
+        ).map(lambda t: Constant(Fraction(t[0], t[1]))),
+    )
+
+
+def expression_trees():
+    """Random expression trees, built with the node constructors, unfolded."""
+    return st.recursive(
+        _leaf(),
+        lambda children: st.one_of(
+            st.tuples(children, children).map(lambda t: Add(t[0], t[1])),
+            st.tuples(children, children).map(lambda t: Sub(t[0], t[1])),
+            st.tuples(children, children).map(lambda t: Mul(t[0], t[1])),
+            st.tuples(children, children).map(lambda t: Div(t[0], t[1])),
+            children.map(Neg),
+            children.map(Plus),
+            children.map(Exp),
+            children.map(lambda c: Ln(Add(Pow(c, Fraction(2)), Constant(Fraction(1))))),
+            children.map(lambda c: Pow(c, Fraction(3))),
+            children.map(lambda c: Pow(c, Fraction(-2))),
+        ),
+        max_leaves=12,
+    )
+
+
+def reference_eval(node, x, ctx):
+    """Un-memoized recursive evaluation with the tape's domain checks."""
+    if isinstance(node, Constant):
+        return ctx.const(node.value)
+    if isinstance(node, Variable):
+        return x
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        left = reference_eval(node.left, x, ctx)
+        right = reference_eval(node.right, x, ctx)
+        if isinstance(node, Add):
+            return left + right
+        if isinstance(node, Sub):
+            return left - right
+        if isinstance(node, Mul):
+            return left * right
+        if right == 0:
+            raise DomainError("division by zero", x)
+        return left / right
+    if isinstance(node, Pow):
+        base = reference_eval(node.base, x, ctx)
+        k = node.exponent
+        if k.denominator == 1:
+            if k < 0 and base == 0:
+                raise DomainError("zero raised to a negative power", x)
+            try:
+                return base ** int(k)
+            except OverflowError:
+                raise DomainError("power overflow", x) from None
+        if base == 0:
+            if k > 0:
+                return ctx.const(0)
+            raise DomainError("zero raised to a negative power", x)
+        if base < 0:
+            raise DomainError("fractional power of a negative base", x)
+        try:
+            return ctx.exp(ctx.const(k) * ctx.ln(base))
+        except OverflowError:
+            raise DomainError("power overflow", x) from None
+    v = reference_eval(node.child, x, ctx)
+    if isinstance(node, Neg):
+        return -v
+    if isinstance(node, Exp):
+        try:
+            return ctx.exp(v)
+        except OverflowError:
+            raise DomainError("exp overflow", x) from None
+    if isinstance(node, Ln):
+        if v <= 0:
+            raise DomainError("ln of a non-positive argument", x)
+        return ctx.ln(v)
+    return ctx.const(0) if v <= 0 else v  # Plus: nan passes through

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quintiq.composite import (
     CUBIC_PAIR,
     QUINTIC_PAIR,
+    _pair_dd,
     _pair_ops,
     _scale_down,
     apriori_bound,
@@ -18,9 +19,9 @@ from quintiq.composite import (
     partition_points,
 )
 from quintiq.convexity import estimate_m6
-from quintiq.expr import parse
+from quintiq.expr import DomainError, as_integrand, parse, to_text
 from quintiq.rules import IntegrandError, Interval, RuleId, rule_table
-from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, DoubleDouble
+from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, DoubleDouble, short_decimal
 
 import corpus as corpus_mod
 from support import (
@@ -33,6 +34,8 @@ from support import (
     apply_rule,
     composite_rule,
     dd_to_mpf,
+    expression_trees,
+    reference_eval,
     rel_err,
 )
 
@@ -335,6 +338,35 @@ class TestDoubleDoubleKernel:
         # one call per abscissa: the pass runs once, as evaluation_count says
         assert len(calls) == got.evaluation_count
 
+    @pytest.mark.parametrize("rule_pair", [QUINTIC_PAIR, CUBIC_PAIR], ids=["quintic", "cubic"])
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(1, 3), True, 2**53 + 1, 10**400, mpmath.mpf(2), "text", None],
+        ids=["fraction", "bool", "int-beyond-2**53", "int-beyond-float", "mpf", "str", "none"],
+    )
+    def test_opaque_integrands_are_called_as_the_operator_path_calls_them(
+        self, value, rule_pair
+    ):
+        ctx = DOUBLE_DOUBLE
+        iv = Interval(ctx.const(1), ctx.const(2))
+        points = rule_table(rule_pair[0], ctx), rule_table(rule_pair[1], ctx)
+        one = ctx.const(1)
+        want = []
+        _pair_ops(lambda x: want.append(_bits(x)) or one, iv, 3, ctx, *points)
+        calls = []
+
+        def f(x):
+            calls.append(_bits(x))
+            return value
+
+        try:
+            _pair_dd(f, iv, 3, ctx, *points)
+        except Exception:  # the operators' own error for this value
+            pass
+        # every abscissa once, in the operator path's order, before any sum
+        assert calls == want
+        assert len(calls) == composite_pair(lambda x: one, iv, 3, ctx, rule_pair).evaluation_count
+
     @given(
         st.one_of(_dd_words, st.builds(DoubleDouble, st.floats(), st.floats())),
         st.one_of(_dd_words, st.builds(DoubleDouble, st.floats(), st.floats())),
@@ -355,6 +387,94 @@ class TestDoubleDoubleKernel:
     def test_scaling_by_a_half_or_quarter_is_the_division_bitwise(self, x, y, op, d):
         z = {"+": x + y, "-": x - y, "*": x * y, "raw": x}[op]
         assert _bits(DoubleDouble(*_scale_down(z.hi, z.lo, d, 1.0 / d))) == _bits(z / d)
+
+
+# -- the dd pass of a bound tape against the per-call operator path ---------
+
+
+def _pair_outcome(run):
+    """A pass's value bits, or its IntegrandError: the cause's type and
+    text, the abscissa's bits and the subinterval."""
+    try:
+        values = run()
+    except IntegrandError as exc:
+        cause = exc.cause
+        return "raised", type(cause), str(cause), _bits(exc.abscissa), exc.subinterval
+    return "returned", [_bits(v) for v in values]
+
+
+def _tape_and_reference_outcomes(tree, iv, n, rule_pair):
+    """The outcome of composite_pair on the tape of tree, and of _pair_ops
+    calling a recursive operator evaluator once per abscissa."""
+    ctx = DOUBLE_DOUBLE
+    f = as_integrand(tree, ctx)
+    assert hasattr(f, "dd_words")
+    folded = parse(to_text(tree))  # the tape folds literal subtrees as parse does
+    points = rule_table(rule_pair[0], ctx), rule_table(rule_pair[1], ctx)
+
+    def tape():
+        pair = composite_pair(f, iv, n, ctx, rule_pair)
+        return pair.g_n, pair.l_n, pair.q_n
+
+    def reference():
+        return _pair_ops(lambda x: reference_eval(folded, x, ctx), iv, n, ctx, *points)
+
+    return _pair_outcome(tape), _pair_outcome(reference)
+
+
+_TAPE_INTERVALS = [("-1", "1"), ("0", "2"), ("1", "2"), ("0", "1"), ("-4", "4"), ("0.5", "3")]
+
+
+def _dd_interval(a: str, b: str) -> Interval:
+    return Interval(DOUBLE_DOUBLE.const(a), DOUBLE_DOUBLE.const(b))
+
+
+class TestBatchedTapePass:
+    @given(
+        st.one_of(st.sampled_from([fn.text for fn in corpus_mod.CORPUS]).map(parse),
+                  expression_trees()),
+        st.sampled_from(_TAPE_INTERVALS),
+        st.sampled_from([QUINTIC_PAIR, CUBIC_PAIR]),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=120, deadline=None)
+    # division by zero at x = 0, a partition point for even n, a node for odd n
+    @example(parse("1/x"), ("-1", "1"), QUINTIC_PAIR, 4)
+    @example(parse("1/x"), ("-1", "1"), CUBIC_PAIR, 5)
+    @example(parse("ln(x)"), ("0", "1"), QUINTIC_PAIR, 3)
+    @example(parse("x^-0.5"), ("0", "2"), QUINTIC_PAIR, 2)
+    @example(parse("(x-1)^0.5"), ("0", "2"), CUBIC_PAIR, 2)
+    @example(parse("exp(x)"), ("700", "720"), QUINTIC_PAIR, 6)  # overflows past 709
+    @example(parse("x^-2"), ("1e-200", "1"), QUINTIC_PAIR, 2)  # 1e-200^2 underflows
+    # over the batch of partition points the division by x - 1 fails first,
+    # at x = 1; in pass order ln fails earlier, at x = -1
+    @example(parse("1/(x-1) + ln(x)"), ("-1", "1"), QUINTIC_PAIR, 3)
+    # several node blocks, and two dd_words runs over the 301 partition points
+    @example(parse("plus(x-0.6)^7"), ("-1", "1"), CUBIC_PAIR, 300)
+    @example(parse("1/(3-x)"), ("-1", "1"), QUINTIC_PAIR, 300)
+    def test_batched_pass_matches_the_per_call_operator_path_bitwise(
+        self, tree, ends, rule_pair, n
+    ):
+        got, want = _tape_and_reference_outcomes(tree, _dd_interval(*ends), n, rule_pair)
+        assert got == want
+
+    @pytest.mark.parametrize("rule_pair", [QUINTIC_PAIR, CUBIC_PAIR], ids=["quintic", "cubic"])
+    def test_a_pole_at_a_node_of_a_later_batch_is_raised_there(self, rule_pair):
+        ctx = DOUBLE_DOUBLE
+        iv = _dd_interval("0", "2")
+        n, k = 300, 280
+        seen = []
+        one = ctx.const(1)
+        points = rule_table(rule_pair[0], ctx), rule_table(rule_pair[1], ctx)
+        _pair_ops(lambda x: seen.append(x) or one, iv, n, ctx, *points)
+        # the first node of subinterval k, after the n + 1 partition points
+        per = len(points[0]) + len(points[1]) - 2
+        pole = seen[n + 1 + (k - 1) * per]
+        tree = parse(f"1/(x - {pole.as_fraction()})")
+        got, want = _tape_and_reference_outcomes(tree, iv, n, rule_pair)
+        assert got == want
+        assert got[1:] == (DomainError, f"division by zero (at x = {short_decimal(pole)})",
+                           _bits(pole), k)
 
 
 class TestTheoremAndConvergence:

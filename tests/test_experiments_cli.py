@@ -251,6 +251,23 @@ class TestCliExitCodes:
         )
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("precision", ["double", "dd", "mp:40"])
+    def test_plus_of_an_overflow_nan_is_a_non_finite_gap(self, precision, capsys):
+        # x*1e300*1e300 overflows in double and dd, so plus() sees inf - inf
+        code = main([
+            "integrate", "--fn", "plus(x*1e300*1e300 - x*1e300*1e300)^7 + 1/x",
+            "--a", "1", "--b", "2", "--strategy", "doubling", "--precision", precision,
+        ])
+        captured = capsys.readouterr()
+        if precision == "mp:40":  # no overflow: plus(0) = 0 and the answer is ln 2
+            assert code == 0 and "value       0.69314717508939608" in captured.out
+            return
+        assert code == 2
+        assert captured.err == (
+            "error: gap |L_n - G_n| is nan at n = 1; "
+            "the integrand or the rule sums overflow at this precision\n"
+        )
+
     def test_mp_gap_beyond_the_double_range_prints_finite(self, capsys):
         # x*x is finite in mp:40, and the gap at n = 1 is 4.12e559
         code = main([

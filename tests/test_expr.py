@@ -13,7 +13,6 @@ from quintiq.expr import (
     DomainError,
     Exp,
     ExprSyntaxError,
-    Ln,
     Mul,
     Neg,
     NotDifferentiable,
@@ -33,6 +32,7 @@ from quintiq.expr import (
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, DoubleDouble, mp_context
 
 import corpus as corpus_mod
+from support import expression_trees, reference_eval
 
 X = Variable()
 
@@ -153,6 +153,30 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             evaluate(parse("x^-2"), 0.0)
 
+    @pytest.mark.parametrize("ctx", [DOUBLE, DOUBLE_DOUBLE, mp_context(30)],
+                             ids=["double", "dd", "mp:30"])
+    def test_plus_of_nan_is_nan(self, ctx):
+        value = as_integrand(parse("plus(x)"), ctx)(ctx.const(math.nan))
+        assert value != value
+        assert _bits(as_integrand(parse("plus(x)"), ctx)(ctx.const(-0.0))) == _bits(ctx.const(0))
+
+    def test_dd_words_runs_the_tape_over_a_list(self):
+        f = as_integrand(parse("plus(x-0.6)^7 + 1/x"), DOUBLE_DOUBLE)
+        xs = [DOUBLE_DOUBLE.const(v) for v in ("-1", "0.3", "0.7", "2", "1e-300")]
+        hs, ls = f.dd_words([x.hi for x in xs], [x.lo for x in xs])
+        assert [(h.hex(), lo.hex()) for h, lo in zip(hs, ls)] == [_bits(f(x)) for x in xs]
+        nan = f.dd_words([math.nan], [0.0])
+        assert nan[0][0] != nan[0][0]
+
+    def test_dd_words_raises_the_first_failure_in_list_order(self):
+        # over the whole list the division fails first, at x = 1; alone, the
+        # abscissa -1 fails earlier in the list, at ln
+        f = as_integrand(parse("1/(x-1) + ln(x)"), DOUBLE_DOUBLE)
+        with pytest.raises(DomainError) as exc_info:
+            f.dd_words([0.5, -1.0, 1.0], [0.0, 0.0, 0.0])
+        assert exc_info.value.message == "ln of a non-positive argument"
+        assert _bits(exc_info.value.abscissa) == _bits(DoubleDouble(-1.0))
+
     def test_evaluation_agrees_across_contexts(self):
         texts = ["1/x", "exp(x)", "plus(x-0.6)^7", "x^3-2*x+0.25"]
         c40 = mp_context(40)
@@ -253,36 +277,7 @@ class TestRoundTrip:
         assert parse(to_text(node)) == node
 
 
-def _leaf():
-    return st.one_of(
-        st.just(Variable()),
-        st.integers(min_value=-9, max_value=9).map(lambda n: Constant(Fraction(n))),
-        st.tuples(
-            st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=9)
-        ).map(lambda t: Constant(Fraction(t[0], t[1]))),
-    )
-
-
-def _tree():
-    return st.recursive(
-        _leaf(),
-        lambda children: st.one_of(
-            st.tuples(children, children).map(lambda t: Add(t[0], t[1])),
-            st.tuples(children, children).map(lambda t: Sub(t[0], t[1])),
-            st.tuples(children, children).map(lambda t: Mul(t[0], t[1])),
-            st.tuples(children, children).map(lambda t: Div(t[0], t[1])),
-            children.map(Neg),
-            children.map(Plus),
-            children.map(Exp),
-            children.map(lambda c: Ln(Add(Pow(c, Fraction(2)), Constant(Fraction(1))))),
-            children.map(lambda c: Pow(c, Fraction(3))),
-            children.map(lambda c: Pow(c, Fraction(-2))),
-        ),
-        max_leaves=12,
-    )
-
-
-@given(_tree())
+@given(expression_trees())
 @settings(max_examples=150, deadline=None)
 # exp(-81): rounding (1/9)^-2 in floats instead of folding it exactly would
 # be amplified 81-fold by exp
@@ -347,59 +342,6 @@ def test_fold_matches_parse_and_keeps_folded_trees():
 # The compiled tape against a plain recursive evaluator
 
 
-def _reference(node, x, ctx):
-    """Un-memoized recursive evaluation with the tape's domain checks."""
-    if isinstance(node, Constant):
-        return ctx.const(node.value)
-    if isinstance(node, Variable):
-        return x
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        left = _reference(node.left, x, ctx)
-        right = _reference(node.right, x, ctx)
-        if isinstance(node, Add):
-            return left + right
-        if isinstance(node, Sub):
-            return left - right
-        if isinstance(node, Mul):
-            return left * right
-        if right == 0:
-            raise DomainError("division by zero", x)
-        return left / right
-    if isinstance(node, Pow):
-        base = _reference(node.base, x, ctx)
-        k = node.exponent
-        if k.denominator == 1:
-            if k < 0 and base == 0:
-                raise DomainError("zero raised to a negative power", x)
-            try:
-                return base ** int(k)
-            except OverflowError:
-                raise DomainError("power overflow", x) from None
-        if base == 0:
-            if k > 0:
-                return ctx.const(0)
-            raise DomainError("zero raised to a negative power", x)
-        if base < 0:
-            raise DomainError("fractional power of a negative base", x)
-        try:
-            return ctx.exp(ctx.const(k) * ctx.ln(base))
-        except OverflowError:
-            raise DomainError("power overflow", x) from None
-    v = _reference(node.child, x, ctx)
-    if isinstance(node, Neg):
-        return -v
-    if isinstance(node, Exp):
-        try:
-            return ctx.exp(v)
-        except OverflowError:
-            raise DomainError("exp overflow", x) from None
-    if isinstance(node, Ln):
-        if v <= 0:
-            raise DomainError("ln of a non-positive argument", x)
-        return ctx.ln(v)
-    return v if v > 0 else ctx.const(0)  # Plus
-
-
 def _bits(value):
     if isinstance(value, float):
         return value.hex()
@@ -423,7 +365,7 @@ _CONTEXTS = {"double": DOUBLE, "dd": DOUBLE_DOUBLE, "mp:30": mp_context(30)}
 
 
 @given(
-    _tree(),
+    expression_trees(),
     st.sampled_from(sorted(_CONTEXTS)),
     st.lists(
         st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(min_value=-4, max_value=4)),
@@ -447,7 +389,7 @@ def test_tape_matches_recursive_reference_bitwise(node, precision, abscissae):
     folded = parse(to_text(node))
     for xv in abscissae:
         x = ctx.const(xv)
-        expected = _outcome(lambda x: _reference(folded, x, ctx), x)
+        expected = _outcome(lambda x: reference_eval(folded, x, ctx), x)
         assert _outcome(f, x) == expected
         assert _outcome(lambda x: evaluate(node, x, ctx), x) == expected
 
@@ -478,4 +420,4 @@ def test_sixth_derivative_of_reciprocal_compiles_small():
         f = as_integrand(d6, ctx)
         for xv in ("1", "1.5", "2"):
             x = ctx.const(xv)
-            assert _bits(f(x)) == _bits(_reference(d6, x, ctx)), (ctx.name, xv)
+            assert _bits(f(x)) == _bits(reference_eval(d6, x, ctx)), (ctx.name, xv)

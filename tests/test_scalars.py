@@ -316,6 +316,18 @@ def test_dd_comparisons():
     assert float((1 - a) / 2) == pytest.approx(0.45)
 
 
+@pytest.mark.parametrize(
+    "other", [0, 0.0, -math.inf, math.nan, DoubleDouble(0.0), DoubleDouble(1.0, 1e-20),
+              DoubleDouble(math.nan)],
+)
+def test_dd_ordered_comparisons_with_nan_are_false(other):
+    # as for float: a nan leading word is unordered, and unequal even to itself
+    for nan in (DoubleDouble(math.nan), DoubleDouble(math.nan, math.nan)):
+        for a, b in ((nan, other), (other, nan)):
+            assert not (a < b or a <= b or a > b or a >= b or a == b)
+            assert a != b
+
+
 @pytest.mark.parametrize("v", [1.0, 0.5, 2**53 + 1, math.inf, -math.inf])
 def test_dd_hash_agrees_with_equality(v):
     x = DOUBLE_DOUBLE.const(v)
