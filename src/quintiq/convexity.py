@@ -86,7 +86,9 @@ def check_n_convexity(
 
     Tuples are a deterministic blend: half sliding windows from an
     equispaced grid, half seeded random tuples with an enforced minimum gap
-    of (b-a) * 1e-3 / samples.
+    of (b-a) * 1e-3 / samples.  A bound tape (`expr.as_integrand`) is
+    evaluated at the points of all tuples in one run of its ``values``
+    entry; any other callable is called per point.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -97,12 +99,18 @@ def check_n_convexity(
     tuples = _window_tuples(a, b, m, samples // 2)
     tuples += _random_tuples(a, b, m, samples - len(tuples), seed, (b - a) * 1e-3 / samples)
 
+    abscissae = [ctx.const(p) for pts in tuples for p in pts]
+    values = _values(f, abscissae)
+
     saw_negative = saw_positive = False
     min_dd = max_dd = None
     min_witness = max_witness = ()
-    for pts in tuples:
-        xs = [ctx.const(p) for p in pts]
-        vals = [call_integrand(f, x) for x in xs]
+    for j, pts in enumerate(tuples):
+        xs = abscissae[j * m : (j + 1) * m]
+        if values is None:
+            vals = [call_integrand(f, x) for x in xs]
+        else:
+            vals = values[j * m : (j + 1) * m]
         top = float(divided_difference(xs, vals))
         min_gap = min(pts[i + 1] - pts[i] for i in range(m - 1))
         scale = max(abs(float(v)) for v in vals)
@@ -124,6 +132,19 @@ def check_n_convexity(
         max_witness=max_witness,
         verdict=_classify(saw_negative, saw_positive),
     )
+
+
+def _values(f, xs):
+    """f at all of xs from one run of its ``values`` entry (a bound tape's),
+    or None when f has no such entry or the run fails: f is then called per
+    point, and the first failure raises its `IntegrandError`."""
+    values = getattr(f, "values", None)
+    if values is None:
+        return None
+    try:
+        return values(xs)
+    except (ArithmeticError, ValueError):
+        return None
 
 
 def _window_tuples(a: float, b: float, m: int, count: int) -> list:
@@ -153,14 +174,16 @@ def _random_tuples(a, b, m, count, seed, min_gap) -> list:
 
 
 def _d6_grid(f_expr, iv: Interval, grid: int, ctx) -> list:
-    """(f^(6)(x), x) as floats at x = a, a + i*(b-a)/grid for 0 < i < grid, and b."""
+    """(f^(6)(x), x) as floats at x = a, a + i*(b-a)/grid for 0 < i < grid, and b,
+    from one run of the bound derivative's ``values`` entry over the grid."""
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     d6 = f_expr
     for _ in range(6):
         d6 = expr_mod.differentiate(d6)
-    f6 = expr_mod.as_integrand(d6, ctx)
-    return [(float(f6(x)), float(x)) for x in partition_points(iv, grid, ctx)]
+    xs = partition_points(iv, grid, ctx)
+    values = expr_mod.as_integrand(d6, ctx).values(xs)
+    return [(float(v), float(x)) for v, x in zip(values, xs)]
 
 
 def sixth_derivative_sign(f_expr, iv: Interval, grid: int, ctx=DOUBLE) -> ConvexityReport:

@@ -25,18 +25,26 @@ Derivative trees repeat whole subtrees (the sixth derivative of ``1/x`` has
 36,961 nodes but 312 distinct operations), so a call runs each distinct
 operation once.  The trees themselves are never rewritten.
 
-In double-double the tape has one runner, on lists of (hi, lo) float
-words: each instruction runs over all the abscissae of a list with a list
-kernel of ``scalars``, which performs the float operations of the
-DoubleDouble operator per element, so every value is bitwise that of the
-operators.  A call at one abscissa runs it on one-element lists, and the
-callable's ``dd_words`` entry runs it over many, as a composite pass does.
+Every bound tape also runs over lists of abscissae: its ``values`` entry
+runs each instruction over a whole chunk of them, with the operation a
+call performs at one abscissa applied element by element, so every value is
+bitwise that call's.  In double and mp the list runner sits beside the
+scalar one.  In double-double the tape has one runner, on lists of (hi, lo)
+float words: each instruction runs with a list kernel of ``scalars``, which
+performs the float operations of the DoubleDouble operator per element.  A
+call at one abscissa runs it on one-element lists, and the callable's
+``dd_words`` entry runs it over many, as a composite pass does.
+
+`differentiate` differentiates each node object of its argument once, so a
+shared subtree has one shared derivative: the sixth derivative of ``1/x``
+has 36,961 nodes as a tree but 1,530 distinct node objects.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul, neg, sub, truediv
 from typing import Optional, Union
 
 from .scalars import DOUBLE, DoubleDouble, DoubleDoubleContext, short_decimal
@@ -382,6 +390,13 @@ def as_integrand(node: ExprNode, ctx=DOUBLE):
     and the first domain error raised is the one a recursive walk would
     raise.  Reuse the callable: binding costs a walk over the tree.
 
+    The callable has ``values(xs)``, which returns its values at the
+    abscissae of a list, from one run of the tape per chunk of at most
+    `_CHUNK` of them; each value is bitwise equal to ``f`` at its abscissa.
+    A chunk that meets a domain error is run again one abscissa at a time in
+    order, so the error raised is the one the first failing abscissa raises
+    alone.  In double-double ``values`` runs ``dd_words``.
+
     In a double-double context the callable also has ``dd_words(hs, ls)``,
     which runs the tape once over the abscissae ``DoubleDouble(hs[i],
     ls[i])`` of two non-empty lists of float words, and returns the values'
@@ -436,7 +451,84 @@ def as_integrand(node: ExprNode, ctx=DOUBLE):
                 r[dst] = _root_step(r[a], b, x, exp, ln)
         return r[out]
 
+    steps = _with_last_reads(tape, out)
+
+    def run_chunk(xs):
+        # the tape over a list of abscissae, the scalar runner's operations
+        # element by element, dropping each list after its last read; x only
+        # names a domain error, and a chunk that fails is run again one
+        # abscissa at a time
+        x = xs[0]
+        m = len(xs)
+        r = [None if c is None else [c] * m for c in init]
+        r[0] = xs
+        try:
+            for op, dst, a, b, dead in steps:
+                if op == _MUL:
+                    r[dst] = list(map(mul, r[a], r[b]))
+                elif op == _ADD:
+                    r[dst] = list(map(add, r[a], r[b]))
+                elif op == _SUB:
+                    r[dst] = list(map(sub, r[a], r[b]))
+                elif op == _POW:
+                    v = r[a]
+                    if b < 0 and 0 in v:
+                        raise DomainError("zero raised to a negative power", x)
+                    r[dst] = [t ** b for t in v]
+                elif op == _DIV:
+                    if 0 in r[b]:
+                        raise DomainError("division by zero", x)
+                    r[dst] = list(map(truediv, r[a], r[b]))
+                elif op == _NEG:
+                    r[dst] = list(map(neg, r[a]))
+                elif op == _EXP:
+                    r[dst] = list(map(exp, r[a]))
+                elif op == _LN:
+                    r[dst] = [_ln_step(v, x, ln) for v in r[a]]
+                elif op == _PLUS:
+                    r[dst] = [b if v <= 0 else v for v in r[a]]
+                else:
+                    r[dst] = [_root_step(v, b, x, exp, ln) for v in r[a]]
+                for k in dead:
+                    r[k] = None
+        except (ArithmeticError, ValueError):
+            return [run(x) for x in xs]
+        return r[out]
+
+    run.values = _values(const, run_chunk)
     return run
+
+
+#: Abscissae that one run of a tape's list runner evaluates at most, which
+#: bounds the lists a run holds however many abscissae ``values`` is given.
+_CHUNK = 64
+
+
+def _with_last_reads(tape, out) -> tuple:
+    """The tape's instructions, each extended by the registers other than
+    ``out`` that it reads for the last time."""
+    last = {}
+    for i, (op, _dst, a, b) in enumerate(tape):
+        last[a] = i
+        if op in _BINARY_CODES:
+            last[b] = i
+    dead = [[] for _ in tape]
+    for k, i in last.items():
+        if k != out:
+            dead[i].append(k)
+    return tuple((*ins, tuple(d)) for ins, d in zip(tape, dead))
+
+
+def _values(const, run_chunk):
+    """The ``values`` entry of a bound tape: its list runner over chunks."""
+
+    def values(xs):
+        out = []
+        for i in range(0, len(xs), _CHUNK):
+            out += run_chunk([const(x) for x in xs[i : i + _CHUNK]])
+        return out
+
+    return values
 
 
 def _dd_integrand(init, tape, out, ctx):
@@ -503,7 +595,11 @@ def _dd_integrand(init, tape, out, ctx):
         values = [f(DoubleDouble(h, lo)) for h, lo in zip(hs, ls)]
         return [v.hi for v in values], [v.lo for v in values]
 
+    def run_chunk(xs):
+        return list(map(DoubleDouble, *dd_words([x.hi for x in xs], [x.lo for x in xs])))
+
     f.dd_words = dd_words
+    f.values = _values(const, run_chunk)
     return f
 
 
@@ -537,6 +633,7 @@ def _root_step(v, b, x, exp, ln):
 # exponent with the bound zero, None for a negative exponent (_ROOT).
 _MUL, _ADD, _SUB, _POW, _DIV, _NEG, _EXP, _LN, _PLUS, _ROOT = range(10)
 _BINARY_OPS = {Mul: _MUL, Add: _ADD, Sub: _SUB, Div: _DIV}
+_BINARY_CODES = frozenset(_BINARY_OPS.values())
 _UNARY_OPS = {Neg: _NEG, Exp: _EXP, Ln: _LN, Plus: _PLUS}
 # the smart constructor of each node type that folds (exp and ln never do)
 _FOLDS = {Add: _mk_add, Sub: _mk_sub, Mul: _mk_mul, Div: _mk_div, Neg: _mk_neg, Plus: _mk_plus}
@@ -650,34 +747,52 @@ def differentiate(node: ExprNode) -> ExprNode:
     Truncated powers follow plus(u)^k -> k*plus(u)^(k-1)*u' for integer
     k >= 2; differentiating plus(u)^1 or a bare plus(u) raises
     NotDifferentiable, as does any non-integer exponent.
+
+    Each node object is differentiated once per call: a subtree that the
+    tree shares (derivative trees share most of theirs) gets one derivative
+    object, shared in turn, so the result is the tree a plain recursion
+    builds, with fewer distinct objects.
     """
+    return _derivative(node, {})
+
+
+def _derivative(node, memo: dict):
+    """differentiate, memoized on id(node); memo keeps each node alive with
+    its derivative, so an id is never reused within the call."""
+    hit = memo.get(id(node))
+    if hit is None:
+        hit = memo[id(node)] = node, _derive(node, memo)
+    return hit[1]
+
+
+def _derive(node, memo: dict):
     if isinstance(node, Constant):
         return _ZERO
     if isinstance(node, Variable):
         return _ONE
     if isinstance(node, Add):
-        return _mk_add(differentiate(node.left), differentiate(node.right))
+        return _mk_add(_derivative(node.left, memo), _derivative(node.right, memo))
     if isinstance(node, Sub):
-        return _mk_sub(differentiate(node.left), differentiate(node.right))
+        return _mk_sub(_derivative(node.left, memo), _derivative(node.right, memo))
     if isinstance(node, Neg):
-        return _mk_neg(differentiate(node.child))
+        return _mk_neg(_derivative(node.child, memo))
     if isinstance(node, Mul):
         return _mk_add(
-            _mk_mul(differentiate(node.left), node.right),
-            _mk_mul(node.left, differentiate(node.right)),
+            _mk_mul(_derivative(node.left, memo), node.right),
+            _mk_mul(node.left, _derivative(node.right, memo)),
         )
     if isinstance(node, Div):
         num = _mk_sub(
-            _mk_mul(differentiate(node.left), node.right),
-            _mk_mul(node.left, differentiate(node.right)),
+            _mk_mul(_derivative(node.left, memo), node.right),
+            _mk_mul(node.left, _derivative(node.right, memo)),
         )
         return _mk_div(num, _mk_pow(node.right, Fraction(2)))
     if isinstance(node, Pow):
-        return _diff_pow(node)
+        return _diff_pow(node, memo)
     if isinstance(node, Exp):
-        return _mk_mul(Exp(node.child), differentiate(node.child))
+        return _mk_mul(Exp(node.child), _derivative(node.child, memo))
     if isinstance(node, Ln):
-        return _mk_div(differentiate(node.child), node.child)
+        return _mk_div(_derivative(node.child, memo), node.child)
     if isinstance(node, Plus):
         raise NotDifferentiable(
             "plus(...) is differentiable only inside an integer power >= 2"
@@ -685,7 +800,7 @@ def differentiate(node: ExprNode) -> ExprNode:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _diff_pow(node: Pow) -> ExprNode:
+def _diff_pow(node: Pow, memo: dict) -> ExprNode:
     k = node.exponent
     if k.denominator != 1:
         raise NotDifferentiable(f"non-integer exponent {k} is not differentiable")
@@ -697,9 +812,9 @@ def _diff_pow(node: Pow) -> ExprNode:
             raise NotDifferentiable(
                 f"plus(...)^{n} is not differentiable (integer exponent >= 2 required)"
             )
-        inner = differentiate(node.base.child)
+        inner = _derivative(node.base.child, memo)
     else:
-        inner = differentiate(node.base)
+        inner = _derivative(node.base, memo)
     return _mk_mul(
         Constant(Fraction(n)), _mk_mul(_mk_pow(node.base, Fraction(n - 1)), inner)
     )

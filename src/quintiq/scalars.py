@@ -550,7 +550,7 @@ def dd_exp(x: DoubleDouble) -> DoubleDouble:
     rlo = x.lo
     if rhi > 709.0:
         raise OverflowError("double-double exp overflow")
-    if rhi < -709.0:
+    if not rhi >= -709.0:  # nan too: round() below cannot take it
         return DoubleDouble(math.exp(rhi))
     k = round(rhi * 1.4426950408889634)
     if k:

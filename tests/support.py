@@ -5,9 +5,11 @@ polynomial oracle works in Fraction arithmetic from the rules' algebraic
 definitions (symmetric node pairs have rational squared offsets, so even
 powers rationalize), and transcendental references are mpmath at 50 digits
 or frozen decimal strings derived from it.  The references -- one simple
-rule per subinterval, and double-double operators composed from Dekker's
-error-free transformations -- are the plain forms that the package's fused
-composite pass and written-out operators must reproduce bit for bit.
+rule per subinterval, double-double operators composed from Dekker's
+error-free transformations, a recursive evaluator and a recursive
+differentiation -- are the plain forms that the package's fused composite
+pass, written-out operators and tapes must reproduce bit for bit, and whose
+trees its memoized differentiation must build.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 
 from quintiq.composite import partition_points
 from quintiq.expr import (
-    Add, Constant, Div, DomainError, Exp, Ln, Mul, Neg, Plus, Pow, Sub, Variable,
+    _ONE, _ZERO, Add, Constant, Div, DomainError, Exp, Ln, Mul, Neg, NotDifferentiable,
+    Plus, Pow, Sub, Variable, _mk_add, _mk_div, _mk_mul, _mk_neg, _mk_pow, _mk_sub,
 )
 from quintiq.rules import IntegrandError, Interval, call_integrand, rule_table
 from quintiq.scalars import DOUBLE, DoubleDouble
@@ -340,3 +343,58 @@ def reference_eval(node, x, ctx):
             raise DomainError("ln of a non-positive argument", x)
         return ctx.ln(v)
     return ctx.const(0) if v <= 0 else v  # Plus: nan passes through
+
+
+# The plain recursive differentiation that the memoized `differentiate` must
+# reproduce: equal trees, built without sharing derivatives of shared nodes.
+
+
+def reference_differentiate(node):
+    if isinstance(node, Constant):
+        return _ZERO
+    if isinstance(node, Variable):
+        return _ONE
+    if isinstance(node, Add):
+        return _mk_add(reference_differentiate(node.left), reference_differentiate(node.right))
+    if isinstance(node, Sub):
+        return _mk_sub(reference_differentiate(node.left), reference_differentiate(node.right))
+    if isinstance(node, Neg):
+        return _mk_neg(reference_differentiate(node.child))
+    if isinstance(node, Mul):
+        return _mk_add(
+            _mk_mul(reference_differentiate(node.left), node.right),
+            _mk_mul(node.left, reference_differentiate(node.right)),
+        )
+    if isinstance(node, Div):
+        num = _mk_sub(
+            _mk_mul(reference_differentiate(node.left), node.right),
+            _mk_mul(node.left, reference_differentiate(node.right)),
+        )
+        return _mk_div(num, _mk_pow(node.right, Fraction(2)))
+    if isinstance(node, Pow):
+        k = node.exponent
+        if k.denominator != 1:
+            raise NotDifferentiable(f"non-integer exponent {k} is not differentiable")
+        n = int(k)
+        if n == 0:
+            return _ZERO
+        if isinstance(node.base, Plus):
+            if n < 2:
+                raise NotDifferentiable(
+                    f"plus(...)^{n} is not differentiable (integer exponent >= 2 required)"
+                )
+            inner = reference_differentiate(node.base.child)
+        else:
+            inner = reference_differentiate(node.base)
+        return _mk_mul(
+            Constant(Fraction(n)), _mk_mul(_mk_pow(node.base, Fraction(n - 1)), inner)
+        )
+    if isinstance(node, Exp):
+        return _mk_mul(Exp(node.child), reference_differentiate(node.child))
+    if isinstance(node, Ln):
+        return _mk_div(reference_differentiate(node.child), node.child)
+    if isinstance(node, Plus):
+        raise NotDifferentiable(
+            "plus(...) is differentiable only inside an integer power >= 2"
+        )
+    raise TypeError(f"not an expression node: {node!r}")

@@ -3,15 +3,17 @@ import random
 
 import pytest
 
+from quintiq.composite import partition_points
 from quintiq.convexity import (
     Verdict,
+    _d6_grid,
     check_n_convexity,
     divided_difference,
     sixth_derivative_sign,
 )
-from quintiq.expr import DomainError, parse
-from quintiq.rules import Interval
-from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE
+from quintiq.expr import DomainError, as_integrand, differentiate, parse
+from quintiq.rules import IntegrandError, Interval
+from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, mp_context
 
 import corpus as corpus_mod
 
@@ -172,3 +174,55 @@ class TestSixthDerivativeSign:
         report = sixth_derivative_sign(parse("plus(x-0.6)^7"), Interval(-1.0, 1.0), 512)
         assert report.verdict is Verdict.CONSISTENT_WITH_CONVEX
         assert report.max_divided_difference == pytest.approx(5040 * 0.4, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# One run of the bound tape's values entry against calls per point
+
+_CONTEXTS = {"double": DOUBLE, "dd": DOUBLE_DOUBLE, "mp:30": mp_context(30)}
+
+
+@pytest.mark.parametrize("precision", sorted(_CONTEXTS))
+@pytest.mark.parametrize(
+    "text, a, b, grid",
+    [("1/x", "1", "2", 1024), ("ln(x)", "1", "2", 200), ("plus(x-0.6)^7", "-1", "1", 200)],
+)
+def test_d6_grid_equals_the_calls_per_point(precision, text, a, b, grid):
+    ctx = _CONTEXTS[precision]
+    iv = Interval(ctx.const(a), ctx.const(b))
+    f6 = parse(text)
+    for _ in range(6):
+        f6 = differentiate(f6)
+    f6 = as_integrand(f6, ctx)
+    want = [(float(f6(x)), float(x)) for x in partition_points(iv, grid, ctx)]
+    assert [(v.hex(), x.hex()) for v, x in _d6_grid(parse(text), iv, grid, ctx)] == [
+        (v.hex(), x.hex()) for v, x in want
+    ]
+
+
+@pytest.mark.parametrize("precision", sorted(_CONTEXTS))
+@pytest.mark.parametrize(
+    "text, a, b", [("1/x", "1", "2"), ("-exp(x)", "0", "1"), ("x^7", "-1", "1")]
+)
+def test_sampled_check_on_a_tape_equals_the_plain_callable(precision, text, a, b):
+    ctx = _CONTEXTS[precision]
+    iv = Interval(ctx.const(a), ctx.const(b))
+    f = as_integrand(parse(text), ctx)
+    assert check_n_convexity(f, iv, 5, 100, 3, ctx) == check_n_convexity(
+        lambda x: f(x), iv, 5, 100, 3, ctx
+    )
+
+
+@pytest.mark.parametrize("precision", sorted(_CONTEXTS))
+def test_sampled_check_on_a_tape_raises_the_plain_callables_error(precision):
+    ctx = _CONTEXTS[precision]
+    iv = Interval(ctx.const(-1), ctx.const(1))
+    f = as_integrand(parse("1/x"), ctx)
+    errors = []
+    for g in (f, lambda x: f(x)):
+        with pytest.raises(IntegrandError) as exc_info:
+            # 59 windows on a grid of step 2/64: the 33rd point is 0
+            check_n_convexity(g, iv, 5, 118, 1, ctx)
+        errors.append((str(exc_info.value), type(exc_info.value.cause), exc_info.value.abscissa))
+    assert errors[0] == errors[1]
+    assert "division by zero (at x = 0)" in errors[0][0]

@@ -268,6 +268,20 @@ class TestCliExitCodes:
             "the integrand or the rule sums overflow at this precision\n"
         )
 
+    @pytest.mark.parametrize("fn", ["exp", "ln"])
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    def test_exp_and_ln_of_an_overflow_nan_are_a_non_finite_gap(self, fn, precision, capsys):
+        # inf - inf is nan in double and dd; exp and ln pass it on
+        code = main([
+            "integrate", "--fn", f"{fn}(x*1e300*1e300 - x*1e300*1e300)",
+            "--a", "1", "--b", "2", "--precision", precision,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: gap |L_n - G_n| is nan at n = 1; "
+            "the integrand or the rule sums overflow at this precision\n"
+        )
+
     def test_mp_gap_beyond_the_double_range_prints_finite(self, capsys):
         # x*x is finite in mp:40, and the gap at n = 1 is 4.12e559
         code = main([

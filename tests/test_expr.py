@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from quintiq.expr import (
     Sub,
     UnknownIdentifierError,
     Variable,
+    _CHUNK,
     _compile,
     _Compiler,
     as_integrand,
@@ -29,10 +31,12 @@ from quintiq.expr import (
     parse,
     to_text,
 )
+from quintiq.composite import partition_points
+from quintiq.rules import Interval
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, DoubleDouble, mp_context
 
 import corpus as corpus_mod
-from support import expression_trees, reference_eval
+from support import expression_trees, reference_differentiate, reference_eval
 
 X = Variable()
 
@@ -412,8 +416,9 @@ def test_sixth_derivative_of_reciprocal_compiles_small():
     d6 = parse("1/x")
     for _ in range(6):
         d6 = differentiate(d6)
-    # the tree itself is not simplified; only its evaluation plan is shared
-    assert _tree_size(d6) == (36961, 7272)
+    # the tree itself is not simplified; differentiate shares the derivative
+    # of each shared subtree, and the evaluation plan shares equal subtrees
+    assert _tree_size(d6) == (36961, 1530)
     init, _tape, _out = _compile(d6, DOUBLE)
     assert len(init) <= 400
     for ctx in (DOUBLE, DOUBLE_DOUBLE, mp_context(30)):
@@ -421,3 +426,115 @@ def test_sixth_derivative_of_reciprocal_compiles_small():
         for xv in ("1", "1.5", "2"):
             x = ctx.const(xv)
             assert _bits(f(x)) == _bits(reference_eval(d6, x, ctx)), (ctx.name, xv)
+
+
+# --------------------------------------------------------------------------
+# The list runner against calls at one abscissa
+
+
+def _list_outcome(values):
+    """The bits of each of values(), or what it raised, as `_outcome`
+    reports it."""
+    try:
+        return [_bits(v) for v in values()]
+    except DomainError as exc:
+        return "DomainError", exc.message, _bits(exc.abscissa)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_LENGTHS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 1025]
+_CORPUS_TREES = [parse(fn.text) for fn in corpus_mod.CORPUS]
+
+
+@given(
+    st.one_of(st.sampled_from(_CORPUS_TREES), expression_trees()),
+    st.sampled_from(sorted(_CONTEXTS)),
+    st.sampled_from(_LENGTHS),
+    st.sampled_from([0.02, 0.5]),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=60, deadline=None)
+# a pole at the one abscissa of the second chunk: the first chunk's run
+# succeeds, the second's fails
+@example(parse("1/(x-1)"), "double", _CHUNK + 1, 0.02, 565)
+# the abscissae 0, 2, -0.222: plus(-0.0) is the bound +0.0
+@example(parse("plus(-x)"), "double", 3, 0.5, 1)
+def test_values_match_calls_bitwise(node, precision, length, special, seed):
+    ctx = _CONTEXTS[precision]
+    rng = random.Random(seed)
+    xs = [
+        rng.choice([0.0, 1.0, -1.0, 2.0]) if rng.random() < special else rng.uniform(-4, 4)
+        for _ in range(length)
+    ]
+    f = as_integrand(node, ctx)
+    xs = [ctx.const(x) for x in xs]
+    assert _list_outcome(lambda: f.values(xs)) == _list_outcome(lambda: [f(x) for x in xs])
+
+
+@pytest.mark.parametrize("precision", sorted(_CONTEXTS))
+@pytest.mark.parametrize(
+    "text, a, b, message, at",
+    [
+        ("1/x", "-1", "1", "division by zero", 0.0),
+        ("ln(x)", "0", "1", "ln of a non-positive argument", 0.0),
+        # dd's exp overflows above 709, double's above 709.78; mp's never
+        ("exp(x)", "700", "720", "exp overflow",
+         {"dd": 709.00390625, "double": 709.78515625, "mp:30": None}),
+        ("x^-2", "-1", "1", "zero raised to a negative power", 0.0),
+    ],
+)
+def test_values_on_a_failing_grid_raise_the_first_failure(precision, text, a, b, message, at):
+    ctx = _CONTEXTS[precision]
+    f = as_integrand(parse(text), ctx)
+    xs = partition_points(Interval(ctx.const(a), ctx.const(b)), 1024, ctx)
+    outcome = _list_outcome(lambda: f.values(xs))
+    assert outcome == _list_outcome(lambda: [f(x) for x in xs])
+    if isinstance(at, dict):
+        at = at[precision]
+    if at is not None:
+        assert outcome == ("DomainError", message, _bits(ctx.const(at)))
+
+
+@pytest.mark.parametrize("precision", sorted(_CONTEXTS))
+@pytest.mark.parametrize(
+    "first, second", [(0, 5), (3, 5), (10, _CHUNK + 6), (_CHUNK, _CHUNK + 1)]
+)
+def test_values_raise_for_the_first_abscissa_not_the_first_instruction(precision, first, second):
+    # ln(x) runs before the division; x = 1 fails at the division, earlier
+    # in the list than x = -1, which fails at ln
+    ctx = _CONTEXTS[precision]
+    f = as_integrand(parse("ln(x) + 1/(x-1)"), ctx)
+    xs = [ctx.const(0.5)] * (2 * _CHUNK)
+    xs[first] = ctx.const(1.0)
+    xs[second] = ctx.const(-1.0)
+    outcome = _list_outcome(lambda: f.values(xs))
+    assert outcome == ("DomainError", "division by zero", _bits(ctx.const(1.0)))
+    assert outcome == _list_outcome(lambda: [f(x) for x in xs])
+
+
+# --------------------------------------------------------------------------
+# Memoized differentiation against the plain recursion
+
+
+@given(
+    st.one_of(st.sampled_from(_CORPUS_TREES), expression_trees()),
+    st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=80, deadline=None)
+@example(parse("1/x"), 6)
+@example(parse("plus(x-0.6)^7"), 6)
+def test_differentiate_builds_the_recursive_tree(node, order):
+    got = want = node
+    for _ in range(order):
+        try:
+            want = reference_differentiate(want)
+        except NotDifferentiable as exc:
+            with pytest.raises(NotDifferentiable, match=re.escape(str(exc))):
+                differentiate(got)
+            return
+        got = differentiate(got)
+        assert got == want
+        assert _tree_size(got)[0] == _tree_size(want)[0]
+        if _tree_size(want)[0] > 20_000:  # the plain recursion grows too slow
+            return

@@ -227,6 +227,12 @@ def test_dd_exp_overflow_and_underflow():
     assert float(dd_exp(DoubleDouble(-720.0))) == pytest.approx(0.0, abs=1e-300)
 
 
+def test_dd_exp_and_ln_of_nan_are_nan():
+    # as math.exp and math.log of a nan: no ValueError from the reduction
+    for value in (dd_exp(DoubleDouble(math.nan)), dd_ln(DoubleDouble(math.nan))):
+        assert math.isnan(value.hi)
+
+
 def test_dd_domain_errors():
     with pytest.raises(ValueError):
         dd_ln(DoubleDouble(0.0))
