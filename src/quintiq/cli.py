@@ -7,12 +7,13 @@ Subcommands:
 * ``experiment1`` -- the 1/x tolerance-sweep table
 * ``experiment2`` -- the exp interval-sweep table
 
-Exit codes: 0 success, 1 expression parse error, 2 invalid values or a
-domain error during evaluation, 3 iteration budget exceeded, 141 stdout
-closed by its reader (the code a shell reports for a command killed by
-SIGPIPE).  The default precision is ``double`` for integrate/check and
-``dd`` for the experiment commands; the QUINTIQ_PRECISION environment
-variable overrides either and the --precision flag wins over both.
+Exit codes: 0 success, 1 expression parse error or an expression nested
+too deeply, 2 invalid values or a domain error during evaluation, 3
+iteration budget exceeded, 141 stdout closed by its reader (the code a
+shell reports for a command killed by SIGPIPE).  The default precision is
+``double`` for integrate/check and ``dd`` for the experiment commands; the
+QUINTIQ_PRECISION environment variable overrides either and the
+--precision flag wins over both.
 """
 from __future__ import annotations
 
@@ -317,6 +318,10 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except ExprSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except RecursionError:
+        # parsing, binding and differentiating recurse once per nesting level
+        print("error: the expression is nested too deeply", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

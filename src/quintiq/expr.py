@@ -22,18 +22,11 @@ Evaluation compiles a tree once per (tree, context) into a value-numbered
 tape (`as_integrand`): structurally equal subtrees share one register, and
 constants are folded exactly and converted once, when the tape is bound.
 Derivative trees repeat whole subtrees (the sixth derivative of ``1/x`` has
-36,961 nodes but 312 distinct operations), so a call runs each distinct
-operation once.  The trees themselves are never rewritten.
-
-Every bound tape also runs over lists of abscissae: its ``values`` entry
-runs each instruction over a whole chunk of them, with the operation a
-call performs at one abscissa applied element by element, so every value is
-bitwise that call's.  In double and mp the list runner sits beside the
-scalar one.  In double-double the tape has one runner, on lists of (hi, lo)
-float words: each instruction runs with a list kernel of ``scalars``, which
-performs the float operations of the DoubleDouble operator per element.  A
-call at one abscissa runs it on one-element lists, and the callable's
-``dd_words`` entry runs it over many, as a composite pass does.
+36,961 nodes but 312 distinct operations), so a run performs each distinct
+operation once.  The trees themselves are never rewritten.  The tape has
+one runner in every context: each instruction runs over a whole vector of
+abscissae with the context's list kernels (``ctx.lists`` in ``scalars``),
+so a value at one abscissa is a run over a one-element vector.
 
 `differentiate` differentiates each node object of its argument once, so a
 shared subtree has one shared derivative: the sixth derivative of ``1/x``
@@ -44,12 +37,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, neg, sub, truediv
 from typing import Optional, Union
 
-from .scalars import DOUBLE, DoubleDouble, DoubleDoubleContext, short_decimal
-from .scalars import _add_lists, _div_lists, _map_lists, _mul_lists, _neg_lists
-from .scalars import _plus_lists, _pow_lists, _sub_lists, _zero_in_lists
+from .scalars import DOUBLE, short_decimal
 
 
 class ExprError(Exception):
@@ -385,123 +375,110 @@ def as_integrand(node: ExprNode, ctx=DOUBLE):
     per structurally distinct subtree, in the post-order in which a
     recursive walk first meets it, with literal-only subtrees folded exactly
     as `parse` folds them and every constant bound by ``ctx.const`` here.
-    Each call then runs the tape once.  Every operation is a deterministic
-    function of its operands, so sharing equal subtrees changes no value,
-    and the first domain error raised is the one a recursive walk would
-    raise.  Reuse the callable: binding costs a walk over the tree.
+    Every operation is a deterministic function of its operands, so sharing
+    equal subtrees changes no value, and the first domain error raised is
+    the one a recursive walk would raise.  Reuse the callable: binding costs
+    a walk over the tree.
 
-    The callable has ``values(xs)``, which returns its values at the
-    abscissae of a list, from one run of the tape per chunk of at most
-    `_CHUNK` of them; each value is bitwise equal to ``f`` at its abscissa.
-    A chunk that meets a domain error is run again one abscissa at a time in
-    order, so the error raised is the one the first failing abscissa raises
-    alone.  In double-double ``values`` runs ``dd_words``.
-
-    In a double-double context the callable also has ``dd_words(hs, ls)``,
-    which runs the tape once over the abscissae ``DoubleDouble(hs[i],
-    ls[i])`` of two non-empty lists of float words, and returns the values'
-    words as two lists; a call ``f(x)`` is that run on one-element lists.
-    Each value is bitwise equal to ``f`` at its abscissa.  When a run over
-    several abscissae meets a domain error, they are run again one at a
-    time in order, so the error raised is the one the first failing
-    abscissa raises alone.
+    The tape runs over the vectors of the context's list kernels: each
+    instruction applies its scalar operation element by element, and each
+    register's vector is dropped after its last read.  ``f(x)`` is a run
+    over one abscissa; ``f.vector(xs)``, which a composite pass in
+    ``f.ctx`` calls, runs over a vector of them and returns the vector of
+    values; ``f.values(xs)`` takes and returns lists of scalars, with one
+    run per chunk of at most `_CHUNK`.  Each value is bitwise ``f`` at its
+    abscissa.  A run over several abscissae that meets a domain error is
+    repeated one abscissa at a time, so the error raised is the one the
+    first failing abscissa raises alone.
     """
     init, tape, out = _compile(node, ctx)
-    if isinstance(ctx, DoubleDoubleContext):
-        return _dd_integrand(init, tape, out, ctx)
+    steps = _with_last_reads(tape, out)
+    consts = [(slot, c) for slot, c in enumerate(init) if c is not None]
+    size = len(init)
     const, exp, ln = ctx.const, ctx.exp, ctx.ln
+    lists = ctx.lists
+    to_vector, to_scalars, fill = lists.vector, lists.scalars, lists.fill
+    add, sub, mul, div, neg = lists.add, lists.sub, lists.mul, lists.div, lists.neg
+    power, plus, has_zero, each = lists.pow, lists.plus, lists.has_zero, lists.map
 
-    def run(x):
-        x = const(x)
-        r = init.copy()
-        r[0] = x
-        for op, dst, a, b in tape:
+    def ln_step(v):
+        if v <= 0:
+            raise _Undefined("ln of a non-positive argument")
+        return ln(v)
+
+    def run(xs):
+        r = [None] * size
+        r[0] = xs
+        for slot, c in consts:
+            r[slot] = fill(c, xs)
+        for op, dst, a, b, dead in steps:
             if op == _MUL:
-                r[dst] = r[a] * r[b]
+                r[dst] = mul(r[a], r[b])
             elif op == _ADD:
-                r[dst] = r[a] + r[b]
+                r[dst] = add(r[a], r[b])
             elif op == _SUB:
-                r[dst] = r[a] - r[b]
+                r[dst] = sub(r[a], r[b])
             elif op == _POW:
-                v = r[a]
-                if b < 0 and v == 0:
-                    raise DomainError("zero raised to a negative power", x)
+                if b < 0 and has_zero(r[a]):
+                    raise _Undefined("zero raised to a negative power")
                 try:
-                    r[dst] = v ** b
+                    r[dst] = power(r[a], b)
                 except OverflowError:
-                    raise DomainError("power overflow", x) from None
+                    raise _Undefined("power overflow") from None
             elif op == _DIV:
-                den = r[b]
-                if den == 0:
-                    raise DomainError("division by zero", x)
-                r[dst] = r[a] / den
+                if has_zero(r[b]):
+                    raise _Undefined("division by zero")
+                r[dst] = div(r[a], r[b])
             elif op == _NEG:
-                r[dst] = -r[a]
+                r[dst] = neg(r[a])
             elif op == _EXP:
                 try:
-                    r[dst] = exp(r[a])
+                    r[dst] = each(exp, r[a])
                 except OverflowError:
-                    raise DomainError("exp overflow", x) from None
+                    raise _Undefined("exp overflow") from None
             elif op == _LN:
-                r[dst] = _ln_step(r[a], x, ln)
+                r[dst] = each(ln_step, r[a])
             elif op == _PLUS:
-                v = r[a]
-                r[dst] = b if v <= 0 else v
+                r[dst] = plus(r[a], b)
             else:
-                r[dst] = _root_step(r[a], b, x, exp, ln)
+                r[dst] = each(lambda v: _root_step(v, b, exp, ln), r[a])
+            for k in dead:
+                r[k] = None
         return r[out]
 
-    steps = _with_last_reads(tape, out)
-
-    def run_chunk(xs):
-        # the tape over a list of abscissae, the scalar runner's operations
-        # element by element, dropping each list after its last read; x only
-        # names a domain error, and a chunk that fails is run again one
-        # abscissa at a time
-        x = xs[0]
-        m = len(xs)
-        r = [None if c is None else [c] * m for c in init]
-        r[0] = xs
+    def f(x):
+        x = const(x)
         try:
-            for op, dst, a, b, dead in steps:
-                if op == _MUL:
-                    r[dst] = list(map(mul, r[a], r[b]))
-                elif op == _ADD:
-                    r[dst] = list(map(add, r[a], r[b]))
-                elif op == _SUB:
-                    r[dst] = list(map(sub, r[a], r[b]))
-                elif op == _POW:
-                    v = r[a]
-                    if b < 0 and 0 in v:
-                        raise DomainError("zero raised to a negative power", x)
-                    r[dst] = [t ** b for t in v]
-                elif op == _DIV:
-                    if 0 in r[b]:
-                        raise DomainError("division by zero", x)
-                    r[dst] = list(map(truediv, r[a], r[b]))
-                elif op == _NEG:
-                    r[dst] = list(map(neg, r[a]))
-                elif op == _EXP:
-                    r[dst] = list(map(exp, r[a]))
-                elif op == _LN:
-                    r[dst] = [_ln_step(v, x, ln) for v in r[a]]
-                elif op == _PLUS:
-                    r[dst] = [b if v <= 0 else v for v in r[a]]
-                else:
-                    r[dst] = [_root_step(v, b, x, exp, ln) for v in r[a]]
-                for k in dead:
-                    r[k] = None
+            return to_scalars(run(to_vector([x])))[0]
+        except _Undefined as exc:
+            raise DomainError(str(exc), x) from None
+
+    def vector(xs):
+        try:
+            return run(xs)
         except (ArithmeticError, ValueError):
-            return [run(x) for x in xs]
-        return r[out]
+            return to_vector([f(x) for x in to_scalars(xs)])
 
-    run.values = _values(const, run_chunk)
-    return run
+    def values(xs):
+        out = []
+        for i in range(0, len(xs), _CHUNK):
+            out += to_scalars(vector(to_vector([const(x) for x in xs[i : i + _CHUNK]])))
+        return out
+
+    f.ctx = ctx
+    f.vector = vector
+    f.values = values
+    return f
 
 
-#: Abscissae that one run of a tape's list runner evaluates at most, which
-#: bounds the lists a run holds however many abscissae ``values`` is given.
+#: Abscissae that one run of ``values`` evaluates at most, which bounds the
+#: vectors a run holds however many abscissae it is given.
 _CHUNK = 64
+
+
+class _Undefined(ArithmeticError):
+    """A run left the function's domain; ``f(x)`` raises it as the
+    `DomainError` that names x."""
 
 
 def _with_last_reads(tape, out) -> tuple:
@@ -519,112 +496,19 @@ def _with_last_reads(tape, out) -> tuple:
     return tuple((*ins, tuple(d)) for ins, d in zip(tape, dead))
 
 
-def _values(const, run_chunk):
-    """The ``values`` entry of a bound tape: its list runner over chunks."""
-
-    def values(xs):
-        out = []
-        for i in range(0, len(xs), _CHUNK):
-            out += run_chunk([const(x) for x in xs[i : i + _CHUNK]])
-        return out
-
-    return values
-
-
-def _dd_integrand(init, tape, out, ctx):
-    """The tape's one runner in double-double: every instruction runs over
-    whole lists of (hi, lo) words, with the list kernels of ``scalars``;
-    exp, ln and fractional powers go through ``ctx`` element by element."""
-    consts = [(slot, c.hi, c.lo) for slot, c in enumerate(init) if c is not None]
-    size = len(init)
-    const, exp, ln = ctx.const, ctx.exp, ctx.ln
-
-    def run(hs, ls, x):
-        # x is the abscissa domain errors name: a run over several abscissae
-        # that fails is repeated one abscissa at a time, so only the errors
-        # of one-element runs leave dd_words
-        m = len(hs)
-        r = [None] * size
-        r[0] = (hs, ls)
-        for slot, hi, lo in consts:
-            r[slot] = ([hi] * m, [lo] * m)
-        for op, dst, a, b in tape:
-            if op == _MUL:
-                r[dst] = _mul_lists(*r[a], *r[b])
-            elif op == _ADD:
-                r[dst] = _add_lists(*r[a], *r[b])
-            elif op == _SUB:
-                r[dst] = _sub_lists(*r[a], *r[b])
-            elif op == _POW:
-                if b < 0 and _zero_in_lists(*r[a]):
-                    raise DomainError("zero raised to a negative power", x)
-                try:
-                    r[dst] = _pow_lists(*r[a], b)
-                except OverflowError:
-                    raise DomainError("power overflow", x) from None
-            elif op == _DIV:
-                if _zero_in_lists(*r[b]):
-                    raise DomainError("division by zero", x)
-                r[dst] = _div_lists(*r[a], *r[b])
-            elif op == _NEG:
-                r[dst] = _neg_lists(*r[a])
-            elif op == _EXP:
-                try:
-                    r[dst] = _map_lists(exp, *r[a])
-                except OverflowError:
-                    raise DomainError("exp overflow", x) from None
-            elif op == _LN:
-                r[dst] = _map_lists(lambda v: _ln_step(v, x, ln), *r[a])
-            elif op == _PLUS:
-                r[dst] = _plus_lists(*r[a])
-            else:
-                r[dst] = _map_lists(lambda v: _root_step(v, b, x, exp, ln), *r[a])
-        return r[out]
-
-    def f(x):
-        x = const(x)
-        (hi,), (lo,) = run([x.hi], [x.lo], x)
-        return DoubleDouble(hi, lo)
-
-    def dd_words(hs, ls):
-        try:
-            return run(hs, ls, DoubleDouble(hs[0], ls[0]))
-        except (ArithmeticError, ValueError):
-            if len(hs) == 1:
-                raise
-        values = [f(DoubleDouble(h, lo)) for h, lo in zip(hs, ls)]
-        return [v.hi for v in values], [v.lo for v in values]
-
-    def run_chunk(xs):
-        return list(map(DoubleDouble, *dd_words([x.hi for x in xs], [x.lo for x in xs])))
-
-    f.dd_words = dd_words
-    f.values = _values(const, run_chunk)
-    return f
-
-
-# The steps of both runners that take a value at a time.
-
-
-def _ln_step(v, x, ln):
-    if v <= 0:
-        raise DomainError("ln of a non-positive argument", x)
-    return ln(v)
-
-
-def _root_step(v, b, x, exp, ln):
+def _root_step(v, b, exp, ln):
     """A fractional power, defined for positive bases only."""
     k, zero = b
     if v == 0:
         if zero is None:
-            raise DomainError("zero raised to a negative power", x)
+            raise _Undefined("zero raised to a negative power")
         return zero
     if v < 0:
-        raise DomainError("fractional power of a negative base", x)
+        raise _Undefined("fractional power of a negative base")
     try:
         return exp(k * ln(v))
     except OverflowError:
-        raise DomainError("power overflow", x) from None
+        raise _Undefined("power overflow") from None
 
 
 # Tape opcodes.  An instruction is (opcode, dst, a, b): registers a and b

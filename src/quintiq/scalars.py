@@ -13,13 +13,22 @@ Available contexts:
   decimal digits, built on error-free transformations.
 * ``mp_context(d)`` -- mpmath with ``d`` decimal digits; each instance owns a
   private mpmath context, so concurrent use of different precisions is safe.
+
+Each context also has one private set of list kernels, ``ctx.lists``, over
+vectors of its own kind: a list of scalars in ``double`` and ``mp``, the
+pair of lists of (hi, lo) float words in ``dd``.  The expression tape and
+the composite pass are each written once against them.  This module is the
+only one with double-double word arithmetic.
 """
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
 from math import ldexp
+from typing import Callable, NamedTuple
 
 _SPLITTER = 134217729.0  # 2**27 + 1; Dekker split constant, exact in binary64
 
@@ -52,7 +61,29 @@ def _add_words(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, f
     hi = u + e
     lo = e - (hi - u)
     if lo != lo:
+        # a nan tail: the sum overflowed; keep the plain sum
         return s, 0.0
+    return hi, lo
+
+
+def _mul_words(a: float, alo: float, b: float, blo: float) -> tuple[float, float]:
+    """DoubleDouble(a, alo) * DoubleDouble(b, blo) as words: the two-product
+    of the leading words, then the cross terms."""
+    p = a * b
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLITTER * b
+    bh = c - (c - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e += a * blo + alo * b
+    hi = p + e
+    lo = e - (hi - p)
+    if lo != lo:
+        # a nan tail: the product overflowed, or a factor beyond ~1e300
+        # overflowed its Dekker split; keep the plain product
+        return p, 0.0
     return hi, lo
 
 
@@ -141,9 +172,9 @@ class DoubleDouble:
     beyond that the low word degrades gracefully toward double precision,
     and a sum, product or quotient that overflows is +-inf, as in double.
 
-    ``+ - *`` are written out as straight-line code on plain floats, with no
-    helper calls and no intermediate DoubleDouble; ``/`` runs the same kind
-    of code in ``_div_words``.  Each one performs the float operations of its
+    ``+ - * /`` run straight-line code on plain floats, with no intermediate
+    DoubleDouble, in ``_add_words``, ``_mul_words`` and ``_div_words``.
+    Each one performs the float operations of its
     textbook composition of Dekker's error-free transformations (two-sum,
     fast two-sum, split two-product) in the same order, so its result is
     bitwise equal to that composition's, which the tests keep as the
@@ -186,33 +217,11 @@ class DoubleDouble:
         return NotImplemented
 
     def __add__(self, other):
-        if type(other) is DoubleDouble:
-            bhi = other.hi
-            blo = other.lo
-        else:
-            o = self._coerce(other)
-            if o is NotImplemented:
+        if type(other) is not DoubleDouble:
+            other = self._coerce(other)
+            if other is NotImplemented:
                 return NotImplemented
-            bhi = o.hi
-            blo = o.lo
-        ahi = self.hi
-        alo = self.lo
-        s = ahi + bhi
-        v = s - ahi
-        e = (ahi - (s - v)) + (bhi - v)
-        t = alo + blo
-        v = t - alo
-        f = (alo - (t - v)) + (blo - v)
-        e += t
-        u = s + e
-        e = e - (u - s)
-        e += f
-        hi = u + e
-        lo = e - (hi - u)
-        if lo != lo:
-            # a nan tail: the sum overflowed; keep the plain sum
-            return DoubleDouble(s, 0.0)
-        return DoubleDouble(hi, lo)
+        return DoubleDouble(*_add_words(self.hi, self.lo, other.hi, other.lo))
 
     __radd__ = __add__
 
@@ -220,33 +229,11 @@ class DoubleDouble:
         return DoubleDouble(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        if type(other) is DoubleDouble:
-            bhi = -other.hi
-            blo = -other.lo
-        else:
-            o = self._coerce(other)
-            if o is NotImplemented:
+        if type(other) is not DoubleDouble:
+            other = self._coerce(other)
+            if other is NotImplemented:
                 return NotImplemented
-            bhi = -o.hi
-            blo = -o.lo
-        ahi = self.hi
-        alo = self.lo
-        s = ahi + bhi
-        v = s - ahi
-        e = (ahi - (s - v)) + (bhi - v)
-        t = alo + blo
-        v = t - alo
-        f = (alo - (t - v)) + (blo - v)
-        e += t
-        u = s + e
-        e = e - (u - s)
-        e += f
-        hi = u + e
-        lo = e - (hi - u)
-        if lo != lo:
-            # a nan tail: the sum overflowed; keep the plain sum
-            return DoubleDouble(s, 0.0)
-        return DoubleDouble(hi, lo)
+        return DoubleDouble(*_add_words(self.hi, self.lo, -other.hi, -other.lo))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -259,25 +246,7 @@ class DoubleDouble:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a = self.hi
-        b = other.hi
-        # two-product of the leading words, then the cross terms
-        p = a * b
-        c = _SPLITTER * a
-        ah = c - (c - a)
-        al = a - ah
-        c = _SPLITTER * b
-        bh = c - (c - b)
-        bl = b - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        e += a * other.lo + self.lo * b
-        hi = p + e
-        lo = e - (hi - p)
-        if lo != lo:
-            # a nan tail: the product overflowed, or a factor beyond ~1e300
-            # overflowed its Dekker split; keep the plain product
-            return DoubleDouble(p, 0.0)
-        return DoubleDouble(hi, lo)
+        return DoubleDouble(*_mul_words(self.hi, self.lo, other.hi, other.lo))
 
     __rmul__ = __mul__
 
@@ -368,62 +337,179 @@ class DoubleDouble:
         return f"DoubleDouble({self.hi!r}, {self.lo!r})"
 
 
-# -- list kernels: one operator over lists of words --------------------------
+# -- list kernels: one context's operations over vectors ---------------------
 #
-# Each takes the (hi, lo) words of its operands as parallel lists and
-# returns the words of the results as two new lists.  Per element it
-# performs the float operations of the DoubleDouble operator it stands in
-# for, in the same order, so each result is bitwise equal to that
-# operator's.  The expression tape runs on them in double-double.
+# Each context has one kernel set over its own vectors, ``ctx.lists``.  The
+# expression tape runs on the first group of kernels and the composite pass
+# on the second, so both are written once for every context.  Per element
+# each kernel performs the operations of the scalar code it stands in for,
+# in the same order, so each result is bitwise equal to that code's.
+
+
+class _ListKernels(NamedTuple):
+    """One context's kernels; ``u`` and ``v`` are vectors of its own kind."""
+
+    vector: Callable  # (scalars) -> the vector of them
+    scalars: Callable  # (u) -> its elements as a list of scalars
+    fill: Callable  # (c, u) -> a vector of the scalar c, as long as u
+    # the tape: each raises where the scalar operation raises
+    add: Callable  # (u, v) -> u + v, element by element
+    sub: Callable  # (u, v) -> u - v
+    mul: Callable  # (u, v) -> u * v
+    div: Callable  # (u, v) -> u / v, for v free of zeros
+    neg: Callable  # (u) -> -u
+    pow: Callable  # (u, n) -> u ** n for an int n
+    plus: Callable  # (u, zero) -> zero where u <= 0, else u
+    has_zero: Callable  # (u) -> whether some element == 0
+    map: Callable  # (fn, u) -> fn of each element, a scalar function
+    # the composite pass (see composite.composite_pair)
+    partition: Callable  # (a, b, n) -> x_0..x_n of [a, b]
+    rule: Callable  # (open points, closed points) -> (nodes, weights)
+    abscissae: Callable  # (xs, k0, k1, nodes) -> (h, m + h*t), see `_abscissae`
+    call: Callable  # (call, f, u, subintervals) -> call(f, x, k) of each
+    sums: Callable  # (h, ys, ends, k0, weights, totals) -> totals
+
 
 _INF = math.inf
 
+# double and mp: a vector is a list of scalars, and each kernel applies the
+# scalar operators
 
-def _add_lists(ah, al, bh, bl) -> tuple[list, list]:
-    """DoubleDouble(ah[i], al[i]) + DoubleDouble(bh[i], bl[i]), as words."""
+
+def _partition(a, b, n: int) -> list:
+    """x_k = a + (k*(b-a))/n, or a + k*((b-a)/n) where k*(b-a) is not
+    finite; x_0 = a and x_n = b exactly."""
+    width = b - a
+    xs = [a]
+    for k in range(1, n):
+        kw = k * width
+        xs.append(a + kw / n if kw - kw == 0 else a + k * (width / n))
+    xs.append(b)
+    return xs
+
+
+def _rule(open_points, closed_points) -> tuple:
+    """(nodes, (open steps, closed steps)) of a rule pair.
+
+    nodes holds the nodes t of the open rule, then the interior nodes of
+    the closed rule: the order in which a subinterval's abscissae are
+    evaluated.  Each rule's steps are (end, w) per point, in its order: end
+    is -1 for a node, else the offset from the subinterval's left
+    partition point of an endpoint.
+    """
+    interior = closed_points[1:-1]
+    nodes = [t for t, _w in (*open_points, *interior)]
+    open_steps = [(-1, w) for _t, w in open_points]
+    closed_steps = [
+        (0, closed_points[0][1]),
+        *((-1, w) for _t, w in interior),
+        (1, closed_points[-1][1]),
+    ]
+    return nodes, (open_steps, closed_steps)
+
+
+def _abscissae(xs, k0: int, k1: int, nodes) -> tuple[list, list]:
+    """h = (b_k - a_k)/2 of the subintervals k0 <= k < k1, [a_k, b_k] =
+    [xs[k-1], xs[k]], and the abscissae m + h*t of their nodes, m = (a_k +
+    b_k)/2, subinterval by subinterval."""
     hs = []
-    ls = []
-    put_hi = hs.append
-    put_lo = ls.append
-    for ahi, alo, bhi, blo in zip(ah, al, bh, bl):
-        s = ahi + bhi
-        v = s - ahi
-        e = (ahi - (s - v)) + (bhi - v)
-        t = alo + blo
-        v = t - alo
-        f = (alo - (t - v)) + (blo - v)
-        e += t
-        u = s + e
-        e = e - (u - s)
-        e += f
-        hi = u + e
-        lo = e - (hi - u)
-        if lo != lo:
-            hi = s
-            lo = 0.0
-        put_hi(hi)
-        put_lo(lo)
-    return hs, ls
+    out = []
+    for k in range(k0, k1):
+        a_k = xs[k - 1]
+        b_k = xs[k]
+        h = (b_k - a_k) / 2
+        m = (a_k + b_k) / 2
+        hs.append(h)
+        out += [m + h * t for t in nodes]
+    return hs, out
 
 
-def _neg_lists(hs, ls) -> tuple[list, list]:
-    """-DoubleDouble(hs[i], ls[i]), as words."""
+def _sums(hs, ys, ends, k0: int, weights, totals) -> tuple:
+    """The running totals (g, l, q), None before the first subinterval,
+    after the subintervals k0, k0+1, ... of hs.
+
+    ys holds f at the abscissae of those subintervals, as `_abscissae`
+    orders them, and ends f at every partition point.  Each rule's value on
+    a subinterval is h times its weighted sum, taken left to right over its
+    steps, and q is (3g + l)/4.
+    """
+    open_steps, closed_steps = weights
+    y = iter(ys).__next__
+    for k, h in enumerate(hs, k0):
+        for steps in (open_steps, closed_steps):
+            s = None
+            for end, w in steps:
+                term = w * (y() if end < 0 else ends[k - 1 + end])
+                s = term if s is None else s + term
+            if steps is open_steps:
+                g_k = h * s
+            else:
+                l_k = h * s
+        q_k = (3 * g_k + l_k) / 4
+        if totals is None:
+            totals = g_k, l_k, q_k
+        else:
+            g_total, l_total, q_total = totals
+            totals = g_total + g_k, l_total + l_k, q_total + q_k
+    return totals
+
+
+_SCALAR_LISTS = _ListKernels(
+    vector=lambda xs: xs,
+    scalars=lambda u: u,
+    fill=lambda c, u: [c] * len(u),
+    add=lambda u, v: list(map(operator.add, u, v)),
+    sub=lambda u, v: list(map(operator.sub, u, v)),
+    mul=lambda u, v: list(map(operator.mul, u, v)),
+    div=lambda u, v: list(map(operator.truediv, u, v)),
+    neg=lambda u: list(map(operator.neg, u)),
+    pow=lambda u, n: [t**n for t in u],
+    plus=lambda u, zero: [zero if t <= 0 else t for t in u],
+    has_zero=lambda u: 0 in u,
+    map=lambda fn, u: list(map(fn, u)),
+    partition=_partition,
+    rule=_rule,
+    abscissae=_abscissae,
+    call=lambda call, f, u, ks: list(map(call, repeat(f), u, ks)),
+    sums=_sums,
+)
+
+
+# double-double: a vector is the pair (his, los) of the elements' float
+# words.  Each kernel performs the float operations of the DoubleDouble
+# operators it stands in for (named in its comments, self first), through
+# the word operations or written out in locals where they run once per
+# element in a hot loop, so each result is bitwise equal to theirs; a
+# Dekker split that several products share is computed once.
+
+
+def _unzip(pairs) -> tuple[list, list]:
+    """The vector of an iterable of (hi, lo) results."""
+    hs, ls = tuple(zip(*pairs)) or ((), ())
+    return list(hs), list(ls)
+
+
+def _add_lists(u, v) -> tuple[list, list]:
+    return _unzip(map(_add_words, *u, *v))
+
+
+def _neg_lists(u) -> tuple[list, list]:
+    hs, ls = u
     return [-h for h in hs], [-lo for lo in ls]
 
 
-def _sub_lists(ah, al, bh, bl) -> tuple[list, list]:
-    """DoubleDouble(ah[i], al[i]) - DoubleDouble(bh[i], bl[i]), as words:
-    __sub__ adds the negated words."""
-    return _add_lists(ah, al, *_neg_lists(bh, bl))
+def _sub_lists(u, v) -> tuple[list, list]:
+    """__sub__ adds the negated words."""
+    return _add_lists(u, _neg_lists(v))
 
 
-def _mul_lists(ah, al, bh, bl) -> tuple[list, list]:
-    """DoubleDouble(ah[i], al[i]) * DoubleDouble(bh[i], bl[i]), as words."""
+def _mul_lists(u, v) -> tuple[list, list]:
+    """DoubleDouble.__mul__ of each pair of elements."""
     hs = []
     ls = []
     put_hi = hs.append
     put_lo = ls.append
-    for a, alo, b, blo in zip(ah, al, bh, bl):
+    for a, alo, b, blo in zip(*u, *v):
         p = a * b
         c = _SPLITTER * a
         a_h = c - (c - a)
@@ -443,77 +529,321 @@ def _mul_lists(ah, al, bh, bl) -> tuple[list, list]:
     return hs, ls
 
 
-def _div_lists(ah, al, bh, bl) -> tuple[list, list]:
-    """DoubleDouble(ah[i], al[i]) / DoubleDouble(bh[i], bl[i]), as words;
-    raises ZeroDivisionError where __truediv__ does."""
-    hs = []
-    ls = []
-    for ahi, alo, d, dlo in zip(ah, al, bh, bl):
-        if d == 0.0:
-            raise ZeroDivisionError("double-double division by zero")
-        hi, lo = _div_words(ahi, alo, d, dlo)
-        hs.append(hi)
-        ls.append(lo)
-    return hs, ls
+def _div_lists(u, v) -> tuple[list, list]:
+    """Raises ZeroDivisionError where DoubleDouble.__truediv__ does."""
+    if 0.0 in v[0]:
+        raise ZeroDivisionError("double-double division by zero")
+    return _unzip(map(_div_words, *u, *v))
 
 
-def _pow_lists(hs, ls, n: int) -> tuple[list, list]:
-    """DoubleDouble(hs[i], ls[i]) ** n for an int n, as words; raises
-    OverflowError where __pow__ does.
+def _pow_lists(u, n: int) -> tuple[list, list]:
+    """DoubleDouble.__pow__(n) of each element; raises OverflowError where
+    it does.
 
-    The loop over the exponent's bits runs once for the whole list, with
+    The loop over the exponent's bits runs once for the whole vector, with
     the products, squarings and reciprocal of __pow__ from DoubleDouble(1.0)
     on; only __pow__'s last squaring, whose value is never read, is left out.
     """
+    hs = u[0]
     m = len(hs)
-    rh = [1.0] * m
-    rl = [0.0] * m
-    bh = hs
-    bl = ls
+    r = [1.0] * m, [0.0] * m
+    base = u
     k = abs(n)
     while k:
         if k & 1:
-            rh, rl = _mul_lists(rh, rl, bh, bl)
+            r = _mul_lists(r, base)
         k >>= 1
         if k:
-            bh, bl = _mul_lists(bh, bl, bh, bl)
+            base = _mul_lists(base, base)
+    rh = r[0]
     if n < 0:
         if 0.0 in rh:
-            for h, r in zip(hs, rh):
-                if r == 0.0 and h != 0.0:
+            for h, t in zip(hs, rh):
+                if t == 0.0 and h != 0.0:
                     raise OverflowError("double-double power overflow")
-        return _div_lists([1.0] * m, [0.0] * m, rh, rl)
+        return _div_lists(([1.0] * m, [0.0] * m), r)
     if _INF in rh or -_INF in rh:
-        for h, r in zip(hs, rh):
-            if math.isinf(r) and math.isfinite(h):
+        for h, t in zip(hs, rh):
+            if math.isinf(t) and math.isfinite(h):
                 raise OverflowError("double-double power overflow")
-    return rh, rl
+    return r
 
 
-def _plus_lists(hs, ls) -> tuple[list, list]:
-    """The zero DoubleDouble(0.0) where DoubleDouble(hs[i], ls[i]) <= 0, and
-    the element itself elsewhere, nan included, as words."""
+def _plus_lists(u, zero) -> tuple[list, list]:
+    """zero where the element is <= 0, else the element, nan included."""
+    zh = zero.hi
+    zl = zero.lo
     ph = []
     pl = []
-    for h, lo in zip(hs, ls):
+    for h, lo in zip(*u):
         if h < 0.0 or (h == 0.0 and lo <= 0.0):
-            ph.append(0.0)
-            pl.append(0.0)
+            ph.append(zh)
+            pl.append(zl)
         else:
             ph.append(h)
             pl.append(lo)
     return ph, pl
 
 
-def _zero_in_lists(hs, ls) -> bool:
-    """Whether some DoubleDouble(hs[i], ls[i]) == 0."""
-    return 0.0 in hs and any(h == 0.0 and lo == 0.0 for h, lo in zip(hs, ls))
-
-
-def _map_lists(fn, hs, ls) -> tuple[list, list]:
-    """fn(DoubleDouble(hs[i], ls[i])), a DoubleDouble, as words."""
-    values = [fn(DoubleDouble(h, lo)) for h, lo in zip(hs, ls)]
+def _map_lists(fn, u) -> tuple[list, list]:
+    """fn(DoubleDouble(hi, lo)), a DoubleDouble, of each element."""
+    values = [fn(DoubleDouble(h, lo)) for h, lo in zip(*u)]
     return [v.hi for v in values], [v.lo for v in values]
+
+
+def _scale_down(hi: float, lo: float, d: float, r: float) -> tuple[float, float]:
+    """DoubleDouble(hi, lo) / d for d = 2 or 4, with r = 1/d.
+
+    When both words scale exactly and the pair is finite and normalized,
+    the division's corrections vanish and it returns the scaled words, with
+    zeros made positive; otherwise the division runs in full.
+    """
+    qh = hi * r
+    ql = lo * r
+    if qh * d == hi and ql * d == lo and hi + lo == hi and hi - hi == 0.0:
+        return qh + 0.0, ql + 0.0
+    return _div_words(hi, lo, d, 0.0)
+
+
+def _dd_partition(a, b, n: int) -> tuple[list, list]:
+    """_partition on words: a + (k * width) / n where k * width is finite."""
+    width = b - a
+    whi = width.hi
+    wlo = width.lo
+    nf = float(n)
+    ahi = a.hi
+    alo = a.lo
+    xh = [ahi]
+    xl = [alo]
+    wh, wl = _split(whi)
+    wz = whi * 0.0
+    for k in range(1, n):
+        # k * width, that is width.__mul__(float(k))
+        kf = float(k)
+        p = whi * kf
+        c = _SPLITTER * kf
+        bh = c - (c - kf)
+        bl = kf - bh
+        e = ((wh * bh - p) + wh * bl + wl * bh) + wl * bl
+        e += wz + wlo * kf
+        hi = p + e
+        lo = e - (hi - p)
+        if lo != lo:
+            hi = p
+            lo = 0.0
+        if hi - hi == 0.0:
+            # a + (k * width) / n
+            hi, lo = _add_words(ahi, alo, *_div_words(hi, lo, nf, 0.0))
+        else:
+            # k * width is not finite: a + k * (width / n)
+            x = a + k * (width / n)
+            hi = x.hi
+            lo = x.lo
+        xh.append(hi)
+        xl.append(lo)
+    xh.append(b.hi)
+    xl.append(b.lo)
+    return xh, xl
+
+
+def _dd_rule(open_points, closed_points) -> tuple:
+    """_rule with each node and weight v as (v.hi, v.lo) and the Dekker
+    split of v.hi."""
+
+    def words(v):
+        return v.hi, v.lo, *_split(v.hi)
+
+    nodes, steps = _rule(open_points, closed_points)
+    return [words(t) for t in nodes], tuple([(end, *words(w)) for end, w in s] for s in steps)
+
+
+def _dd_abscissae(xs, k0: int, k1: int, nodes) -> tuple[list, tuple]:
+    """_abscissae on words; each h is kept as (hi, lo) with its split."""
+    xh, xl = xs
+    hs = []
+    vh = []
+    vl = []
+    put_hi = vh.append
+    put_lo = vl.append
+    for k in range(k0, k1):
+        ahi = xh[k - 1]
+        alo = xl[k - 1]
+        bhi = xh[k]
+        blo = xl[k]
+        # h = (b_k - a_k) / 2, as __sub__ adds the negated words
+        hhi, hlo = _scale_down(*_add_words(bhi, blo, -ahi, -alo), 2.0, 0.5)
+        hh, hl = _split(hhi)
+        hs.append((hhi, hlo, hh, hl))
+        # m = (a_k + b_k) / 2
+        mhi, mlo = _scale_down(*_add_words(ahi, alo, bhi, blo), 2.0, 0.5)
+        for t_hi, t_lo, t_h, t_l in nodes:
+            # h.__mul__(t)
+            p = hhi * t_hi
+            e = ((hh * t_h - p) + hh * t_l + hl * t_h) + hl * t_l
+            e += hhi * t_lo + hlo * t_hi
+            bhi = p + e
+            blo = e - (bhi - p)
+            if blo != blo:
+                bhi = p
+                blo = 0.0
+            # m.__add__(h * t)
+            s = mhi + bhi
+            v = s - mhi
+            e = (mhi - (s - v)) + (bhi - v)
+            t = mlo + blo
+            v = t - mlo
+            ft = (mlo - (t - v)) + (blo - v)
+            e += t
+            u = s + e
+            e = e - (u - s)
+            e += ft
+            hi = u + e
+            lo = e - (hi - u)
+            if lo != lo:
+                hi = s
+                lo = 0.0
+            put_hi(hi)
+            put_lo(lo)
+    return hs, (vh, vl)
+
+
+def _dd_call(call, f, u, subintervals) -> tuple[list, list]:
+    """_call with the abscissae as DoubleDoubles.  A value that is not a
+    DoubleDouble is kept as its own hi word, with None for its lo word."""
+    yh = []
+    yl = []
+    put_hi = yh.append
+    put_lo = yl.append
+    for hi, lo, k in zip(*u, subintervals):
+        y = call(f, DoubleDouble(hi, lo), k)
+        if type(y) is DoubleDouble:
+            put_hi(y.hi)
+            put_lo(y.lo)
+        else:
+            put_hi(y)
+            put_lo(None)
+    return yh, yl
+
+
+def _dd_sums(hs, ys, ends, k0: int, weights, totals) -> tuple:
+    """_sums on words.  A value with no lo word gets its product with the
+    weight from the operator, which coerces it or raises."""
+    open_steps, closed_steps = weights
+    eh, el = ends
+    next_value = zip(*ys).__next__
+    first = totals is None
+    if not first:
+        gt, lt, qt = totals
+        gt_hi, gt_lo, lt_hi, lt_lo, qt_hi, qt_lo = gt.hi, gt.lo, lt.hi, lt.lo, qt.hi, qt.lo
+    for k, (hhi, hlo, hh, hl) in enumerate(hs, k0):
+        for steps in (open_steps, closed_steps):
+            shi = None
+            for end, w_hi, w_lo, w_h, w_l in steps:
+                if end < 0:
+                    yhi, ylo = next_value()
+                else:
+                    i = k - 1 + end
+                    yhi = eh[i]
+                    ylo = el[i]
+                if ylo is not None:
+                    # w.__mul__(y)
+                    p = w_hi * yhi
+                    c = _SPLITTER * yhi
+                    bh = c - (c - yhi)
+                    bl = yhi - bh
+                    e = ((w_h * bh - p) + w_h * bl + w_l * bh) + w_l * bl
+                    e += w_hi * ylo + w_lo * yhi
+                    bhi = p + e
+                    blo = e - (bhi - p)
+                    if blo != blo:
+                        bhi = p
+                        blo = 0.0
+                else:
+                    y = DoubleDouble(w_hi, w_lo) * yhi
+                    bhi = y.hi
+                    blo = y.lo
+                if shi is None:
+                    shi = bhi
+                    slo = blo
+                    continue
+                # sum.__add__(w * y)
+                s = shi + bhi
+                v = s - shi
+                e = (shi - (s - v)) + (bhi - v)
+                t = slo + blo
+                v = t - slo
+                ft = (slo - (t - v)) + (blo - v)
+                e += t
+                u = s + e
+                e = e - (u - s)
+                e += ft
+                shi = u + e
+                slo = e - (shi - u)
+                if slo != slo:
+                    shi = s
+                    slo = 0.0
+            # h.__mul__(sum): g_k after the open rule, l_k after the closed
+            p = hhi * shi
+            c = _SPLITTER * shi
+            bh = c - (c - shi)
+            bl = shi - bh
+            e = ((hh * bh - p) + hh * bl + hl * bh) + hl * bl
+            e += hhi * slo + hlo * shi
+            r_hi = p + e
+            r_lo = e - (r_hi - p)
+            if r_lo != r_lo:
+                r_hi = p
+                r_lo = 0.0
+            if steps is open_steps:
+                g_hi = r_hi
+                g_lo = r_lo
+        # (3 * g_k + l_k) / 4, with l_k in (r_hi, r_lo): g_k.__mul__(3) first
+        p = g_hi * 3.0
+        c = _SPLITTER * g_hi
+        bh = c - (c - g_hi)
+        bl = g_hi - bh
+        e = ((bh * 3.0 - p) + bh * 0.0 + bl * 3.0) + bl * 0.0  # 3.0 splits as (3.0, 0.0)
+        e += g_hi * 0.0 + g_lo * 3.0
+        hi = p + e
+        lo = e - (hi - p)
+        if lo != lo:
+            hi = p
+            lo = 0.0
+        q_hi, q_lo = _scale_down(*_add_words(hi, lo, r_hi, r_lo), 4.0, 0.25)
+        if first:
+            gt_hi, gt_lo, lt_hi, lt_lo, qt_hi, qt_lo = g_hi, g_lo, r_hi, r_lo, q_hi, q_lo
+            first = False
+            continue
+        # totals.__add__(subinterval value), for g, l and q
+        gt_hi, gt_lo = _add_words(gt_hi, gt_lo, g_hi, g_lo)
+        lt_hi, lt_lo = _add_words(lt_hi, lt_lo, r_hi, r_lo)
+        qt_hi, qt_lo = _add_words(qt_hi, qt_lo, q_hi, q_lo)
+    return (
+        DoubleDouble(gt_hi, gt_lo),
+        DoubleDouble(lt_hi, lt_lo),
+        DoubleDouble(qt_hi, qt_lo),
+    )
+
+
+_DD_LISTS = _ListKernels(
+    vector=lambda xs: ([x.hi for x in xs], [x.lo for x in xs]),
+    scalars=lambda u: list(map(DoubleDouble, *u)),
+    fill=lambda c, u: ([c.hi] * len(u[0]), [c.lo] * len(u[0])),
+    add=_add_lists,
+    sub=_sub_lists,
+    mul=_mul_lists,
+    div=_div_lists,
+    neg=_neg_lists,
+    pow=_pow_lists,
+    plus=_plus_lists,
+    has_zero=lambda u: 0.0 in u[0] and any(h == 0.0 and lo == 0.0 for h, lo in zip(*u)),
+    map=_map_lists,
+    partition=_dd_partition,
+    rule=_dd_rule,
+    abscissae=_dd_abscissae,
+    call=_dd_call,
+    sums=_dd_sums,
+)
 
 
 _DD_LN2 = DoubleDouble.from_fraction(
@@ -616,6 +946,7 @@ class DoubleContext:
 
     name = "double"
     eps = 2.220446049250313e-16
+    lists = _SCALAR_LISTS
 
     def const(self, v) -> float:
         if isinstance(v, float):
@@ -652,6 +983,7 @@ class DoubleDoubleContext:
 
     name = "dd"
     eps = 4.930380657631324e-32  # 2**-104
+    lists = _DD_LISTS
 
     def const(self, v) -> DoubleDouble:
         if isinstance(v, DoubleDouble):
@@ -687,6 +1019,8 @@ class DoubleDoubleContext:
 
 class MPFloatContext:
     """mpmath arbitrary precision with a fixed decimal digit count."""
+
+    lists = _SCALAR_LISTS
 
     def __init__(self, digits: int):
         from mpmath.ctx_mp import MPContext

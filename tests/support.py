@@ -19,12 +19,11 @@ from fractions import Fraction
 import mpmath
 from hypothesis import strategies as st
 
-from quintiq.composite import partition_points
 from quintiq.expr import (
     _ONE, _ZERO, Add, Constant, Div, DomainError, Exp, Ln, Mul, Neg, NotDifferentiable,
     Plus, Pow, Sub, Variable, _mk_add, _mk_div, _mk_mul, _mk_neg, _mk_pow, _mk_sub,
 )
-from quintiq.rules import IntegrandError, Interval, call_integrand, rule_table
+from quintiq.rules import IntegrandError, Interval, blend_q, call_integrand, rule_table
 from quintiq.scalars import DOUBLE, DoubleDouble
 
 mpmath.mp.dps = 50
@@ -217,8 +216,23 @@ def ref_div(x, y) -> tuple[float, float]:
     return hi, lo
 
 
-# Reference rules: each simple rule applied on its own, and the composite
-# rule as their left-to-right sum, which composite_pair must match bitwise.
+# Reference rules: each simple rule applied on its own, the composite rule as
+# their left-to-right sum, and the pair of composite rules of a plain pass
+# that calls f as it goes, all through the context's scalar operators; the
+# list kernels of composite_pair must match them bitwise.
+
+
+def reference_partition(iv: Interval, n: int, ctx=DOUBLE) -> list:
+    """n+1 points: x_k = a + (k*(b-a))/n, or a + k*((b-a)/n) where k*(b-a)
+    is not finite; x_0 = a and x_n = b."""
+    a, b = ctx.const(iv.a), ctx.const(iv.b)
+    width = b - a
+    xs = [a]
+    for k in range(1, n):
+        kw = k * width
+        xs.append(a + kw / n if kw - kw == 0 else a + k * (width / n))
+    xs.append(b)
+    return xs
 
 
 def apply_rule(rule_id, f, iv: Interval, ctx=DOUBLE):
@@ -247,7 +261,7 @@ def composite_rule(rule_id, f, iv: Interval, n: int, ctx=DOUBLE):
     """Sum of the simple rule over the n-piece uniform partition."""
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
-    xs = partition_points(iv, n, ctx)
+    xs = reference_partition(iv, n, ctx)
     total = None
     for k in range(1, n + 1):
         try:
@@ -256,6 +270,42 @@ def composite_rule(rule_id, f, iv: Interval, n: int, ctx=DOUBLE):
             raise IntegrandError(exc.abscissa, exc.cause, k) from exc.cause
         total = piece if total is None else total + piece
     return total
+
+
+def _pair_ops(f, iv, n, ctx, open_points, closed_points) -> tuple:
+    """(g_n, l_n, q_n) of a pass through the context's scalar operators,
+    calling f at every partition point, then at the nodes of each
+    subinterval as its sums need them."""
+    w_first = closed_points[0][1]
+    w_last = closed_points[-1][1]
+    closed_interior = closed_points[1:-1]
+
+    xs = reference_partition(iv, n, ctx)
+    end_values = [call_integrand(f, x, max(k, 1)) for k, x in enumerate(xs)]
+
+    g_total = l_total = q_total = None
+    for k in range(1, n + 1):
+        a_k, b_k = xs[k - 1], xs[k]
+        h = (b_k - a_k) / 2
+        m = (a_k + b_k) / 2
+
+        g_sum = None
+        for node, weight in open_points:
+            term = weight * call_integrand(f, m + h * node, k)
+            g_sum = term if g_sum is None else g_sum + term
+        g_k = h * g_sum
+
+        l_sum = w_first * end_values[k - 1]
+        for node, weight in closed_interior:
+            l_sum = l_sum + weight * call_integrand(f, m + h * node, k)
+        l_sum = l_sum + w_last * end_values[k]
+        l_k = h * l_sum
+
+        q_k = blend_q(g_k, l_k)
+        g_total = g_k if g_total is None else g_total + g_k
+        l_total = l_k if l_total is None else l_total + l_k
+        q_total = q_k if q_total is None else q_total + q_k
+    return g_total, l_total, q_total
 
 
 # Random expression trees, and a plain recursive evaluator that the compiled

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from quintiq.composite import (
     CUBIC_PAIR,
     QUINTIC_PAIR,
-    _pair_dd,
-    _pair_ops,
-    _scale_down,
     apriori_bound,
     composite_pair,
     min_n_for_bound,
@@ -21,7 +18,9 @@ from quintiq.composite import (
 from quintiq.convexity import estimate_m6
 from quintiq.expr import DomainError, as_integrand, parse, to_text
 from quintiq.rules import IntegrandError, Interval, RuleId, rule_table
-from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, DoubleDouble, short_decimal
+from quintiq.scalars import (
+    DOUBLE, DOUBLE_DOUBLE, DoubleDouble, _scale_down, mp_context, short_decimal,
+)
 
 import corpus as corpus_mod
 from support import (
@@ -31,8 +30,10 @@ from support import (
     GAP_1X_N4,
     L_1X_12,
     Q_1X_12,
+    _pair_ops,
     apply_rule,
     composite_rule,
+    reference_partition,
     dd_to_mpf,
     expression_trees,
     reference_eval,
@@ -49,7 +50,9 @@ def _bits(v) -> bytes:
     # bit patterns, so that -0.0 and nan compare as themselves
     if isinstance(v, DoubleDouble):
         return struct.pack("<dd", v.hi, v.lo)
-    return struct.pack("<d", v)
+    if isinstance(v, float):
+        return struct.pack("<d", v)
+    return repr(getattr(v, "_mpf_", v)).encode()  # mpmath's exact (sign, mantissa, exp, bits)
 
 
 class TestPartition:
@@ -242,9 +245,11 @@ def dd_integrands(draw):
     return kind, tuple(table), raise_mod
 
 
-def _make_integrand(spec, calls):
+def _make_integrand(spec, calls, ctx=DOUBLE_DOUBLE):
+    """f of a drawn spec; a drawn word pair is returned as ctx's scalar of
+    that DoubleDouble value."""
     kind, table, raise_mod = spec
-    one = DOUBLE_DOUBLE.const(1)
+    one = ctx.const(1)
 
     def f(x):
         bits = _bits(x)
@@ -257,7 +262,7 @@ def _make_integrand(spec, calls):
         if kind == "reciprocal":
             return one / x  # raises at x = 0
         value = table[key % len(table)]
-        return DoubleDouble(*value) if isinstance(value, tuple) else value
+        return ctx.const(DoubleDouble(*value)) if isinstance(value, tuple) else value
 
     return f
 
@@ -360,7 +365,7 @@ class TestDoubleDoubleKernel:
             return value
 
         try:
-            _pair_dd(f, iv, 3, ctx, *points)
+            composite_pair(f, iv, 3, ctx, rule_pair)
         except Exception:  # the operators' own error for this value
             pass
         # every abscissa once, in the operator path's order, before any sum
@@ -403,12 +408,11 @@ def _pair_outcome(run):
     return "returned", [_bits(v) for v in values]
 
 
-def _tape_and_reference_outcomes(tree, iv, n, rule_pair):
+def _tape_and_reference_outcomes(tree, iv, n, rule_pair, ctx=DOUBLE_DOUBLE):
     """The outcome of composite_pair on the tape of tree, and of _pair_ops
     calling a recursive operator evaluator once per abscissa."""
-    ctx = DOUBLE_DOUBLE
     f = as_integrand(tree, ctx)
-    assert hasattr(f, "dd_words")
+    assert hasattr(f, "vector")
     folded = parse(to_text(tree))  # the tape folds literal subtrees as parse does
     points = rule_table(rule_pair[0], ctx), rule_table(rule_pair[1], ctx)
 
@@ -425,8 +429,8 @@ def _tape_and_reference_outcomes(tree, iv, n, rule_pair):
 _TAPE_INTERVALS = [("-1", "1"), ("0", "2"), ("1", "2"), ("0", "1"), ("-4", "4"), ("0.5", "3")]
 
 
-def _dd_interval(a: str, b: str) -> Interval:
-    return Interval(DOUBLE_DOUBLE.const(a), DOUBLE_DOUBLE.const(b))
+def _dd_interval(a: str, b: str, ctx=DOUBLE_DOUBLE) -> Interval:
+    return Interval(ctx.const(a), ctx.const(b))
 
 
 class TestBatchedTapePass:
@@ -449,7 +453,7 @@ class TestBatchedTapePass:
     # over the batch of partition points the division by x - 1 fails first,
     # at x = 1; in pass order ln fails earlier, at x = -1
     @example(parse("1/(x-1) + ln(x)"), ("-1", "1"), QUINTIC_PAIR, 3)
-    # several node blocks, and two dd_words runs over the 301 partition points
+    # several node blocks, after one tape run over the 301 partition points
     @example(parse("plus(x-0.6)^7"), ("-1", "1"), CUBIC_PAIR, 300)
     @example(parse("1/(3-x)"), ("-1", "1"), QUINTIC_PAIR, 300)
     def test_batched_pass_matches_the_per_call_operator_path_bitwise(
@@ -475,6 +479,127 @@ class TestBatchedTapePass:
         assert got == want
         assert got[1:] == (DomainError, f"division by zero (at x = {short_decimal(pole)})",
                            _bits(pole), k)
+
+
+# -- the one pass in double and mp against the operator path ---------------
+
+_SCALAR_CONTEXTS = {"double": DOUBLE, "mp:30": mp_context(30)}
+_ALL_CONTEXTS = {**_SCALAR_CONTEXTS, "dd": DOUBLE_DOUBLE}
+
+
+def _in(ctx, iv: Interval) -> Interval:
+    return Interval(ctx.const(iv.a), ctx.const(iv.b))
+
+
+@pytest.mark.parametrize("precision", sorted(_SCALAR_CONTEXTS))
+class TestOnePassInDoubleAndMp:
+    @given(
+        st.one_of(st.sampled_from([fn.text for fn in corpus_mod.CORPUS]).map(parse),
+                  expression_trees()),
+        st.sampled_from(_TAPE_INTERVALS),
+        st.sampled_from([QUINTIC_PAIR, CUBIC_PAIR]),
+        st.one_of(st.integers(1, 40), st.just(300)),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(parse("1/x"), ("-1", "1"), QUINTIC_PAIR, 4)
+    @example(parse("1/x"), ("-1", "1"), CUBIC_PAIR, 5)
+    @example(parse("ln(x)"), ("0", "1"), QUINTIC_PAIR, 3)
+    @example(parse("x^-0.5"), ("0", "2"), QUINTIC_PAIR, 2)
+    @example(parse("(x-1)^0.5"), ("0", "2"), CUBIC_PAIR, 2)
+    @example(parse("exp(x)"), ("700", "720"), QUINTIC_PAIR, 6)
+    @example(parse("x^-2"), ("1e-200", "1"), QUINTIC_PAIR, 2)
+    @example(parse("1/(x-1) + ln(x)"), ("-1", "1"), QUINTIC_PAIR, 3)
+    # several node blocks
+    @example(parse("plus(x-0.6)^7"), ("-1", "1"), CUBIC_PAIR, 300)
+    @example(parse("1/(3-x)"), ("-1", "1"), QUINTIC_PAIR, 300)
+    def test_tape_pass_matches_the_per_call_operator_path_bitwise(
+        self, precision, tree, ends, rule_pair, n
+    ):
+        ctx = _SCALAR_CONTEXTS[precision]
+        iv = _dd_interval(*ends, ctx)
+        got, want = _tape_and_reference_outcomes(tree, iv, n, rule_pair, ctx)
+        assert got == want
+
+    @given(
+        st.sampled_from([QUINTIC_PAIR, CUBIC_PAIR]),
+        st.one_of(st.integers(1, 40), st.just(300)),
+        dd_intervals(),
+        dd_integrands(),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(QUINTIC_PAIR, 5, _dd_iv(-1.0, 1.0), ("reciprocal", (0,), 0))  # f(0) raises
+    @example(CUBIC_PAIR, 300, _dd_iv(1.0, 2.0), ("reciprocal", (0,), 0))
+    @example(QUINTIC_PAIR, 3, _dd_iv(-1.7e308, 1.7e308), ("square", (0,), 0))
+    @example(CUBIC_PAIR, 2, _dd_iv(-1.7e308, 1.7e308), ("table", (1,), 0))
+    @example(QUINTIC_PAIR, 31, _dd_iv(5e306, 1.75e307), ("reciprocal", (0,), 0))
+    @example(QUINTIC_PAIR, 4, _dd_iv(-1.0, 1.0), ("table", (-0.0, (-0.0, -0.0)), 0))
+    @example(
+        QUINTIC_PAIR, 7, _dd_iv(1.0, 1.0 + 2.0**-40),
+        ("table", ((1e308, 0.0), -0.0, math.inf, 3, (5e-324, 0.0), (math.nan, 0.0)), 0),
+    )
+    def test_opaque_pass_matches_the_operator_path_bitwise(
+        self, precision, rule_pair, n, iv, spec
+    ):
+        ctx = _SCALAR_CONTEXTS[precision]
+        iv = _in(ctx, iv)
+        points = rule_table(rule_pair[0], ctx), rule_table(rule_pair[1], ctx)
+        pass_calls, ops_calls = [], []
+        f_pass = _make_integrand(spec, pass_calls, ctx)
+        f_ops = _make_integrand(spec, ops_calls, ctx)
+
+        def one_pass():
+            pair = composite_pair(f_pass, iv, n, ctx, rule_pair)
+            return pair.g_n, pair.l_n, pair.q_n
+
+        got = _pair_outcome(one_pass)
+        assert got == _pair_outcome(lambda: _pair_ops(f_ops, iv, n, ctx, *points))
+        # the same abscissae in the same order, one call each
+        assert pass_calls == ops_calls
+
+    @pytest.mark.parametrize("rule_pair", [QUINTIC_PAIR, CUBIC_PAIR], ids=["quintic", "cubic"])
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(1, 3), True, 2**53 + 1, 10**400, mpmath.mpf(2), "text", None],
+        ids=["fraction", "bool", "int-beyond-2**53", "int-beyond-float", "mpf", "str", "none"],
+    )
+    def test_other_return_types_get_the_operator_path_result(self, precision, value, rule_pair):
+        ctx = _SCALAR_CONTEXTS[precision]
+        iv = Interval(ctx.const(1), ctx.const(2))
+        points = rule_table(rule_pair[0], ctx), rule_table(rule_pair[1], ctx)
+        one = ctx.const(1)
+        want_calls = []
+        _pair_ops(lambda x: want_calls.append(_bits(x)) or one, iv, 3, ctx, *points)
+        calls = []
+
+        def f(x):
+            calls.append(_bits(x))
+            return value
+
+        try:
+            want = _pair_ops(f, iv, 3, ctx, *points)
+        except Exception as exc:  # the operators' own error, whatever it is
+            calls.clear()
+            with pytest.raises(type(exc)):
+                composite_pair(f, iv, 3, ctx, rule_pair)
+        else:
+            calls.clear()
+            got = composite_pair(f, iv, 3, ctx, rule_pair)
+            assert [_bits(v) for v in (got.g_n, got.l_n, got.q_n)] == [_bits(v) for v in want]
+        # every abscissa once, in the operator path's order, before any sum
+        assert calls == want_calls
+
+
+@pytest.mark.parametrize("precision", sorted(_ALL_CONTEXTS))
+@given(dd_intervals(), st.integers(1, 400))
+@settings(max_examples=60, deadline=None)
+# k * (b - a) overflows from k = 15 on, so those points divide first
+@example(_dd_iv(5e306, 1.75e307), 31)
+@example(_dd_iv(-1.7e308, 1.7e308), 3)  # b - a overflows
+def test_partition_points_match_the_operator_loop_bitwise(precision, iv, n):
+    ctx = _ALL_CONTEXTS[precision]
+    iv = _in(ctx, iv)
+    got = partition_points(iv, n, ctx)
+    assert [_bits(x) for x in got] == [_bits(x) for x in reference_partition(iv, n, ctx)]
 
 
 class TestTheoremAndConvergence:

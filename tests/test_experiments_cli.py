@@ -211,6 +211,21 @@ class TestCliExitCodes:
         r = run_cli("integrate", "--fn", "ln(x-5)", "--a", "1", "--b", "2")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("command", ["integrate", "check"])
+    @pytest.mark.parametrize(
+        "fn",
+        # 200 nested parentheses overflow the parser's recursion; a sum of
+        # 1,000 terms parses in a loop, and binding its deep tree recurses
+        ["(" * 200 + "x" + ")" * 200, "+".join(["x"] * 1000)],
+        ids=["parentheses", "long-sum"],
+    )
+    def test_too_deeply_nested_expression_is_1_without_traceback(self, command, fn, capsys):
+        code = main([command, f"--fn={fn}", "--a", "1", "--b", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the expression is nested too deeply\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("precision", ["double", "dd"])
     def test_negative_power_of_an_underflowing_base_is_power_overflow(self, precision):
         r = run_cli(

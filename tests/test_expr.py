@@ -164,20 +164,20 @@ class TestEvaluation:
         assert value != value
         assert _bits(as_integrand(parse("plus(x)"), ctx)(ctx.const(-0.0))) == _bits(ctx.const(0))
 
-    def test_dd_words_runs_the_tape_over_a_list(self):
+    def test_vector_runs_the_tape_over_a_list(self):
         f = as_integrand(parse("plus(x-0.6)^7 + 1/x"), DOUBLE_DOUBLE)
         xs = [DOUBLE_DOUBLE.const(v) for v in ("-1", "0.3", "0.7", "2", "1e-300")]
-        hs, ls = f.dd_words([x.hi for x in xs], [x.lo for x in xs])
+        hs, ls = f.vector(([x.hi for x in xs], [x.lo for x in xs]))
         assert [(h.hex(), lo.hex()) for h, lo in zip(hs, ls)] == [_bits(f(x)) for x in xs]
-        nan = f.dd_words([math.nan], [0.0])
+        nan = f.vector(([math.nan], [0.0]))
         assert nan[0][0] != nan[0][0]
 
-    def test_dd_words_raises_the_first_failure_in_list_order(self):
+    def test_vector_raises_the_first_failure_in_list_order(self):
         # over the whole list the division fails first, at x = 1; alone, the
         # abscissa -1 fails earlier in the list, at ln
         f = as_integrand(parse("1/(x-1) + ln(x)"), DOUBLE_DOUBLE)
         with pytest.raises(DomainError) as exc_info:
-            f.dd_words([0.5, -1.0, 1.0], [0.0, 0.0, 0.0])
+            f.vector(([0.5, -1.0, 1.0], [0.0, 0.0, 0.0]))
         assert exc_info.value.message == "ln of a non-positive argument"
         assert _bits(exc_info.value.abscissa) == _bits(DoubleDouble(-1.0))
 
@@ -470,6 +470,39 @@ def test_values_match_calls_bitwise(node, precision, length, special, seed):
     f = as_integrand(node, ctx)
     xs = [ctx.const(x) for x in xs]
     assert _list_outcome(lambda: f.values(xs)) == _list_outcome(lambda: [f(x) for x in xs])
+
+
+@given(
+    st.one_of(st.sampled_from(_CORPUS_TREES), expression_trees()),
+    st.sampled_from(sorted(_CONTEXTS)),
+    st.sampled_from([0, *_LENGTHS]),
+    st.sampled_from([0.02, 0.5]),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=60, deadline=None)
+@example(parse("1/(x-1)"), "dd", _CHUNK + 1, 0.02, 565)
+@example(parse("ln(x) + 1/(x-1)"), "mp:30", 3, 0.5, 1)
+def test_the_one_runner_matches_the_recursive_reference_bitwise(
+    node, precision, length, special, seed
+):
+    # f(x), values(xs) and the vector entry are runs of one runner; each
+    # agrees with a plain recursive evaluation of the tree read back
+    ctx = _CONTEXTS[precision]
+    rng = random.Random(seed)
+    xs = [
+        ctx.const(rng.choice([0.0, 1.0, -1.0, 2.0]) if rng.random() < special
+                  else rng.uniform(-4, 4))
+        for _ in range(length)
+    ]
+    f = as_integrand(node, ctx)
+    lists = ctx.lists
+    folded = parse(to_text(node))
+    want = _list_outcome(lambda: [reference_eval(folded, x, ctx) for x in xs])
+    assert _list_outcome(lambda: [f(x) for x in xs]) == want
+    assert _list_outcome(lambda: f.values(xs)) == want
+    assert _list_outcome(lambda: lists.scalars(f.vector(lists.vector(xs)))) == want
+    if length == 0:
+        assert f.values(xs) == []
 
 
 @pytest.mark.parametrize("precision", sorted(_CONTEXTS))
