@@ -152,6 +152,18 @@ def _report_payload(report: ConvexityReport) -> dict:
     }
 
 
+def _emit(output: str, payload: dict, csv_lines: list, human_lines: list) -> int:
+    """Write a command's result to stdout: the payload as JSON, or the csv
+    or human lines, each ended by a newline."""
+    out = sys.stdout
+    if output == "json":
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+    else:
+        out.writelines(f"{line}\n" for line in (csv_lines if output == "csv" else human_lines))
+    return EXIT_OK
+
+
 def _cmd_integrate(args) -> int:
     ctx, precision = _resolve_precision(args.precision, "integrate")
     tree = expr_mod.parse(args.fn)
@@ -162,39 +174,32 @@ def _cmd_integrate(args) -> int:
     result = runner(f, iv, eps, SearchStrategy(args.strategy), args.n_max, ctx)
 
     payload = _result_payload(result, ctx, precision, args)
+    human = [
+        f"method      {payload['method']}",
+        f"precision   {precision}",
+        f"value       {payload['value']}",
+        f"n           {payload['n_final']}",
+        f"gap         {payload['gap_final']}",
+        f"epsilon     {payload['epsilon']}",
+        f"evaluations {payload['evaluations']}",
+    ]
     if args.verify_convexity:
         order = 5 if args.method == "quintic" else 3
         report = check_n_convexity(f, iv, order, samples=200, seed=1, ctx=ctx)
-        payload["convexity"] = _report_payload(report)
+        c = payload["convexity"] = _report_payload(report)
+        human.append(f"convexity   {c['verdict']} (order {c['order']}, {c['samples_tested']} samples)")
         if report.verdict.value == "violated":
             print(
                 f"warning: sampled order-{order} divided differences change sign; "
                 "the error guarantee does not apply",
                 file=sys.stderr,
             )
-
-    out = sys.stdout
-    if args.output == "json":
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    elif args.output == "csv":
-        out.write("value,n_final,gap_final,epsilon,evaluations,method,precision\n")
-        out.write(
-            f"{payload['value']},{payload['n_final']},{payload['gap_final']},"
-            f"{payload['epsilon']},{payload['evaluations']},{payload['method']},{precision}\n"
-        )
-    else:
-        out.write(f"method      {payload['method']}\n")
-        out.write(f"precision   {precision}\n")
-        out.write(f"value       {payload['value']}\n")
-        out.write(f"n           {payload['n_final']}\n")
-        out.write(f"gap         {payload['gap_final']}\n")
-        out.write(f"epsilon     {payload['epsilon']}\n")
-        out.write(f"evaluations {payload['evaluations']}\n")
-        if "convexity" in payload:
-            c = payload["convexity"]
-            out.write(f"convexity   {c['verdict']} (order {c['order']}, {c['samples_tested']} samples)\n")
-    return EXIT_OK
+    csv = [
+        "value,n_final,gap_final,epsilon,evaluations,method,precision",
+        f"{payload['value']},{payload['n_final']},{payload['gap_final']},"
+        f"{payload['epsilon']},{payload['evaluations']},{payload['method']},{precision}",
+    ]
+    return _emit(args.output, payload, csv, human)
 
 
 def _cmd_check(args) -> int:
@@ -211,81 +216,58 @@ def _cmd_check(args) -> int:
         except NotDifferentiable as exc:
             derivative_note = str(exc)
 
+    s = _report_payload(sampled)
+    d = _report_payload(derivative) if derivative else None
     payload = {
-        "sampled": _report_payload(sampled),
-        "sixth_derivative": _report_payload(derivative) if derivative else None,
+        "sampled": s,
+        "sixth_derivative": d,
         "precision": precision,
         "config": _config(args, precision),
     }
     if derivative_note:
         payload["sixth_derivative_note"] = derivative_note
 
-    if args.output == "json":
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    elif args.output == "csv":
-        sys.stdout.write("check,order,samples,verdict,min,max\n")
-        s = payload["sampled"]
-        sys.stdout.write(
-            f"sampled,{s['order']},{s['samples_tested']},{s['verdict']},"
-            f"{s['min_divided_difference']!r},{s['max_divided_difference']!r}\n"
-        )
-        if derivative:
-            d = payload["sixth_derivative"]
-            sys.stdout.write(
-                f"sixth-derivative,{d['order']},{d['samples_tested']},{d['verdict']},"
-                f"{d['min_divided_difference']!r},{d['max_divided_difference']!r}\n"
+    csv = ["check,order,samples,verdict,min,max"]
+    human = [
+        f"sampled order-{s['order']} divided differences ({s['samples_tested']} tuples): "
+        f"{s['verdict']}",
+        f"  min {s['min_divided_difference']:.6g} at {tuple(round(p, 6) for p in s['witness'])}",
+        f"  max {s['max_divided_difference']:.6g} at {tuple(round(p, 6) for p in s['max_witness'])}",
+    ]
+    for name, r in (("sampled", s), ("sixth-derivative", d)):
+        if r is not None:
+            csv.append(
+                f"{name},{r['order']},{r['samples_tested']},{r['verdict']},"
+                f"{r['min_divided_difference']!r},{r['max_divided_difference']!r}"
             )
-    else:
-        s = payload["sampled"]
-        sys.stdout.write(
-            f"sampled order-{s['order']} divided differences ({s['samples_tested']} tuples): "
-            f"{s['verdict']}\n"
-        )
-        sys.stdout.write(
-            f"  min {s['min_divided_difference']:.6g} at {tuple(round(p, 6) for p in s['witness'])}\n"
-        )
-        sys.stdout.write(
-            f"  max {s['max_divided_difference']:.6g} at {tuple(round(p, 6) for p in s['max_witness'])}\n"
-        )
-        if derivative:
-            d = payload["sixth_derivative"]
-            sys.stdout.write(
-                f"sixth derivative on a {d['samples_tested']}-point grid: {d['verdict']}\n"
-            )
-            sys.stdout.write(
-                f"  min {d['min_divided_difference']:.6g} at x = {d['witness'][0]:.6g}, "
-                f"max {d['max_divided_difference']:.6g} at x = {d['max_witness'][0]:.6g}\n"
-            )
-        elif derivative_note:
-            sys.stdout.write(f"sixth derivative: unavailable ({derivative_note})\n")
-    return EXIT_OK
+    if d is not None:
+        human += [
+            f"sixth derivative on a {d['samples_tested']}-point grid: {d['verdict']}",
+            f"  min {d['min_divided_difference']:.6g} at x = {d['witness'][0]:.6g}, "
+            f"max {d['max_divided_difference']:.6g} at x = {d['max_witness'][0]:.6g}",
+        ]
+    elif derivative_note:
+        human.append(f"sixth derivative: unavailable ({derivative_note})")
+    return _emit(args.output, payload, csv, human)
 
 
 def _render_experiment(rows: list[ExperimentRow], first_column: str, args, precision: str) -> int:
     def cell(n):
         return SKIP_MARKER if n is None else str(n)
 
-    if args.output == "json":
-        payload = {
-            "precision": precision,
-            "rows": [
-                {first_column: r.label, "n_quintic": r.n_quintic, "n_cubic": r.n_cubic}
-                for r in rows
-            ],
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    elif args.output == "csv":
-        sys.stdout.write(f"{first_column},n_quintic,n_cubic\n")
-        for r in rows:
-            sys.stdout.write(f"{r.label},{cell(r.n_quintic)},{cell(r.n_cubic)}\n")
-    else:
-        width = max(len(first_column), max(len(r.label) for r in rows))
-        sys.stdout.write(f"{first_column:<{width}}  n_quintic  n_cubic\n")
-        for r in rows:
-            sys.stdout.write(f"{r.label:<{width}}  {cell(r.n_quintic):>9}  {cell(r.n_cubic):>7}\n")
-    return EXIT_OK
+    payload = {
+        "precision": precision,
+        "rows": [
+            {first_column: r.label, "n_quintic": r.n_quintic, "n_cubic": r.n_cubic}
+            for r in rows
+        ],
+    }
+    csv = [f"{first_column},n_quintic,n_cubic"]
+    csv += [f"{r.label},{cell(r.n_quintic)},{cell(r.n_cubic)}" for r in rows]
+    width = max(len(first_column), max(len(r.label) for r in rows))
+    human = [f"{first_column:<{width}}  n_quintic  n_cubic"]
+    human += [f"{r.label:<{width}}  {cell(r.n_quintic):>9}  {cell(r.n_cubic):>7}" for r in rows]
+    return _emit(args.output, payload, csv, human)
 
 
 def _cmd_experiment(args, which: int) -> int:

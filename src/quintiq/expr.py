@@ -18,6 +18,11 @@ Numeric literals are decimal with an optional exponent and are kept as exact
 at full precision.  Exponents must fold to a constant at parse time; only
 integer exponents are differentiable.
 
+Nodes hold no source positions: only the tokens do, so a syntax error
+carries the byte range (`SourceSpan`) of the tokens it names.  A
+non-constant exponent is reported from its first token to its last, its
+parentheses included.
+
 Evaluation compiles a tree once per (tree, context) into a value-numbered
 tape (`as_integrand`): structurally equal subtrees share one register, and
 constants are folded exactly and converted once, when the tape is bound.
@@ -35,9 +40,9 @@ has 36,961 nodes as a tree but 1,530 distinct node objects.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .scalars import DOUBLE, short_decimal
 
@@ -87,71 +92,61 @@ class NotDifferentiable(ExprError):
 @dataclass(frozen=True)
 class Constant:
     value: Fraction
-    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Variable:
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    """The abscissa x."""
 
 
 @dataclass(frozen=True)
 class Add:
     left: "ExprNode"
     right: "ExprNode"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Sub:
     left: "ExprNode"
     right: "ExprNode"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Mul:
     left: "ExprNode"
     right: "ExprNode"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Div:
     left: "ExprNode"
     right: "ExprNode"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Neg:
     child: "ExprNode"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Pow:
     base: "ExprNode"
     exponent: Fraction
-    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Exp:
     child: "ExprNode"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Ln:
     child: "ExprNode"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Plus:
     child: "ExprNode"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 ExprNode = Union[Constant, Variable, Add, Sub, Mul, Div, Neg, Pow, Exp, Ln, Plus]
@@ -162,51 +157,51 @@ _FOLD_POW_LIMIT = 512  # don't fold astronomically large constant powers
 # Smart constructors: fold literal-only subtrees exactly (and nothing else).
 
 
-def _mk_neg(c, span=None):
+def _mk_neg(c):
     if isinstance(c, Constant):
-        return Constant(-c.value, span)
-    return Neg(c, span)
+        return Constant(-c.value)
+    return Neg(c)
 
 
-def _mk_add(l, r, span=None):
+def _mk_add(l, r):
     if isinstance(l, Constant) and isinstance(r, Constant):
-        return Constant(l.value + r.value, span)
-    return Add(l, r, span)
+        return Constant(l.value + r.value)
+    return Add(l, r)
 
 
-def _mk_sub(l, r, span=None):
+def _mk_sub(l, r):
     if isinstance(l, Constant) and isinstance(r, Constant):
-        return Constant(l.value - r.value, span)
-    return Sub(l, r, span)
+        return Constant(l.value - r.value)
+    return Sub(l, r)
 
 
-def _mk_mul(l, r, span=None):
+def _mk_mul(l, r):
     if isinstance(l, Constant) and isinstance(r, Constant):
-        return Constant(l.value * r.value, span)
-    return Mul(l, r, span)
+        return Constant(l.value * r.value)
+    return Mul(l, r)
 
 
-def _mk_div(l, r, span=None):
+def _mk_div(l, r):
     if isinstance(l, Constant) and isinstance(r, Constant) and r.value != 0:
-        return Constant(l.value / r.value, span)
-    return Div(l, r, span)
+        return Constant(l.value / r.value)
+    return Div(l, r)
 
 
-def _mk_pow(base, exponent: Fraction, span=None):
+def _mk_pow(base, exponent: Fraction):
     if (
         isinstance(base, Constant)
         and exponent.denominator == 1
         and abs(exponent.numerator) <= _FOLD_POW_LIMIT
         and not (base.value == 0 and exponent < 0)
     ):
-        return Constant(base.value ** int(exponent), span)
-    return Pow(base, exponent, span)
+        return Constant(base.value ** int(exponent))
+    return Pow(base, exponent)
 
 
-def _mk_plus(c, span=None):
+def _mk_plus(c):
     if isinstance(c, Constant):
-        return Constant(max(c.value, Fraction(0)), span)
-    return Plus(c, span)
+        return Constant(max(c.value, Fraction(0)))
+    return Plus(c)
 
 
 # --------------------------------------------------------------------------
@@ -277,26 +272,21 @@ class _Parser:
     def parse_expr(self):
         node = self.parse_term()
         while self.cur.kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.parse_term()
-            mk = _mk_add if op.kind == "+" else _mk_sub
-            node = mk(node, rhs, SourceSpan(_span_of(node).start, _span_of(rhs).end))
+            mk = _mk_add if self.advance().kind == "+" else _mk_sub
+            node = mk(node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while self.cur.kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.parse_unary()
-            mk = _mk_mul if op.kind == "*" else _mk_div
-            node = mk(node, rhs, SourceSpan(_span_of(node).start, _span_of(rhs).end))
+            mk = _mk_mul if self.advance().kind == "*" else _mk_div
+            node = mk(node, self.parse_unary())
         return node
 
     def parse_unary(self):
         if self.cur.kind == "-":
-            op = self.advance()
-            child = self.parse_unary()
-            return _mk_neg(child, SourceSpan(op.span.start, _span_of(child).end))
+            self.advance()
+            return _mk_neg(self.parse_unary())
         return self.parse_power()
 
     def parse_power(self):
@@ -304,32 +294,31 @@ class _Parser:
         if self.cur.kind != "^":
             return base
         self.advance()
+        first = self.cur
         exponent = self.parse_unary()
         if not isinstance(exponent, Constant):
+            last = self.tokens[self.i - 1]
             raise ExprSyntaxError(
-                "exponent must be a constant", _span_of(exponent) or self.cur.span
+                "exponent must be a constant", SourceSpan(first.span.start, last.span.end)
             )
-        return _mk_pow(
-            base, exponent.value, SourceSpan(_span_of(base).start, _span_of(exponent).end)
-        )
+        return _mk_pow(base, exponent.value)
 
     def parse_atom(self):
         tok = self.cur
         if tok.kind == "number":
             self.advance()
-            return Constant(Fraction(tok.text), tok.span)
+            return Constant(Fraction(tok.text))
         if tok.kind == "ident":
             self.advance()
             if tok.text == "x":
-                return Variable(tok.span)
+                return Variable()
             if tok.text in _FUNCTIONS:
                 self.expect("(", f"'(' after {tok.text!r}")
                 arg = self.parse_expr()
-                close = self.expect(")", "')'")
-                span = SourceSpan(tok.span.start, close.span.end)
+                self.expect(")", "')'")
                 if tok.text == "plus":
-                    return _mk_plus(arg, span)
-                return _FUNCTIONS[tok.text](arg, span)
+                    return _mk_plus(arg)
+                return _FUNCTIONS[tok.text](arg)
             raise UnknownIdentifierError(tok.text, tok.span)
         if tok.kind == "(":
             self.advance()
@@ -338,10 +327,6 @@ class _Parser:
             return node
         found = repr(tok.text) if tok.kind != "eof" else "end of input"
         raise ExprSyntaxError(f"expected a number, 'x', '(' or a function but found {found}", tok.span)
-
-
-def _span_of(node) -> Optional[SourceSpan]:
-    return getattr(node, "span", None)
 
 
 def parse(text: str) -> ExprNode:

@@ -178,7 +178,7 @@ class DoubleDouble:
     textbook composition of Dekker's error-free transformations (two-sum,
     fast two-sum, split two-product) in the same order, so its result is
     bitwise equal to that composition's, which the tests keep as the
-    reference.
+    reference.  ``**`` is the list kernel ``_pow_lists`` on one element.
     """
 
     __slots__ = ("hi", "lo")
@@ -268,23 +268,8 @@ class DoubleDouble:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        result = DoubleDouble(1.0)
-        base = self
-        k = abs(n)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base  # the last squaring is unused and may overflow
-            k >>= 1
-        # a power out of range raises, as float ** does
-        if n < 0:
-            if result.hi == 0.0 and self.hi != 0.0:
-                # the positive power underflowed, so its reciprocal overflows
-                raise OverflowError("double-double power overflow")
-            return DoubleDouble(1.0) / result
-        if math.isinf(result.hi) and math.isfinite(self.hi):
-            raise OverflowError("double-double power overflow")
-        return result
+        (hi,), (lo,) = _pow_lists(([self.hi], [self.lo]), n)
+        return DoubleDouble(hi, lo)
 
     def __abs__(self):
         return DoubleDouble(-self.hi, -self.lo) if self.hi < 0.0 else self
@@ -537,12 +522,14 @@ def _div_lists(u, v) -> tuple[list, list]:
 
 
 def _pow_lists(u, n: int) -> tuple[list, list]:
-    """DoubleDouble.__pow__(n) of each element; raises OverflowError where
-    it does.
+    """Each element ** n for an int n, which is DoubleDouble.__pow__: binary
+    powering from 1.0 with the products of __mul__, then for a negative n
+    the reciprocal of __truediv__.  A power out of range raises
+    OverflowError, as float ** does; zero to a negative power raises
+    ZeroDivisionError.
 
-    The loop over the exponent's bits runs once for the whole vector, with
-    the products, squarings and reciprocal of __pow__ from DoubleDouble(1.0)
-    on; only __pow__'s last squaring, whose value is never read, is left out.
+    The loop over the exponent's bits runs once for the whole vector, and
+    skips the last squaring, whose value would never be read.
     """
     hs = u[0]
     m = len(hs)
@@ -615,22 +602,9 @@ def _dd_partition(a, b, n: int) -> tuple[list, list]:
     alo = a.lo
     xh = [ahi]
     xl = [alo]
-    wh, wl = _split(whi)
-    wz = whi * 0.0
     for k in range(1, n):
         # k * width, that is width.__mul__(float(k))
-        kf = float(k)
-        p = whi * kf
-        c = _SPLITTER * kf
-        bh = c - (c - kf)
-        bl = kf - bh
-        e = ((wh * bh - p) + wh * bl + wl * bh) + wl * bl
-        e += wz + wlo * kf
-        hi = p + e
-        lo = e - (hi - p)
-        if lo != lo:
-            hi = p
-            lo = 0.0
+        hi, lo = _mul_words(whi, wlo, float(k), 0.0)
         if hi - hi == 0.0:
             # a + (k * width) / n
             hi, lo = _add_words(ahi, alo, *_div_words(hi, lo, nf, 0.0))
@@ -960,11 +934,8 @@ class DoubleContext:
             return float(v)
         raise TypeError(f"cannot convert {type(v).__name__} to double")
 
-    def sqrt(self, x):
-        return math.sqrt(x)
-
-    def exp(self, x):
-        return math.exp(x)
+    sqrt = staticmethod(math.sqrt)
+    exp = staticmethod(math.exp)
 
     def ln(self, x):
         if x <= 0.0:
@@ -997,14 +968,9 @@ class DoubleDoubleContext:
             return DoubleDouble.from_fraction(fr)
         raise TypeError(f"cannot convert {type(v).__name__} to double-double")
 
-    def sqrt(self, x):
-        return dd_sqrt(x)
-
-    def exp(self, x):
-        return dd_exp(x)
-
-    def ln(self, x):
-        return dd_ln(x)
+    sqrt = staticmethod(dd_sqrt)
+    exp = staticmethod(dd_exp)
+    ln = staticmethod(dd_ln)
 
     def to_decimal(self, x) -> str:
         with localcontext() as dctx:
@@ -1032,6 +998,8 @@ class MPFloatContext:
         self._mp.dps = digits
         self.name = f"mp:{digits}"
         self.eps = float(self._mp.eps)
+        self.sqrt = self._mp.sqrt
+        self.exp = self._mp.exp
 
     def const(self, v):
         mp = self._mp
@@ -1045,12 +1013,6 @@ class MPFloatContext:
         if isinstance(v, DoubleDouble):
             return mp.mpf(v.hi) + mp.mpf(v.lo)
         raise TypeError(f"cannot convert {type(v).__name__} to mp float")
-
-    def sqrt(self, x):
-        return self._mp.sqrt(x)
-
-    def exp(self, x):
-        return self._mp.exp(x)
 
     def ln(self, x):
         if x <= 0:

@@ -6,10 +6,11 @@ definitions (symmetric node pairs have rational squared offsets, so even
 powers rationalize), and transcendental references are mpmath at 50 digits
 or frozen decimal strings derived from it.  The references -- one simple
 rule per subinterval, double-double operators composed from Dekker's
-error-free transformations, a recursive evaluator and a recursive
-differentiation -- are the plain forms that the package's fused composite
-pass, written-out operators and tapes must reproduce bit for bit, and whose
-trees its memoized differentiation must build.
+error-free transformations, a power by binary powering through those
+operators, a recursive evaluator and a recursive differentiation -- are the
+plain forms that the package's fused composite pass, written-out operators,
+power kernel and tapes must reproduce bit for bit, and whose trees its
+memoized differentiation must build.
 """
 from __future__ import annotations
 
@@ -216,6 +217,31 @@ def ref_div(x, y) -> tuple[float, float]:
     return hi, lo
 
 
+def reference_pow(base, n: int):
+    """base ** n for an int n.  For a DoubleDouble, binary powering through
+    its operators -- the plain form that the power kernel must reproduce
+    bitwise -- raising OverflowError where float ** would overflow; any
+    other scalar uses its own **."""
+    if not isinstance(base, DoubleDouble):
+        return base**n
+    result = DoubleDouble(1.0)
+    square = base
+    k = abs(n)
+    while k:
+        if k & 1:
+            result = result * square
+        square = square * square  # the last squaring is unused and may overflow
+        k >>= 1
+    if n < 0:
+        if result.hi == 0.0 and base.hi != 0.0:
+            # the positive power underflowed, so its reciprocal overflows
+            raise OverflowError("double-double power overflow")
+        return DoubleDouble(1.0) / result
+    if math.isinf(result.hi) and math.isfinite(base.hi):
+        raise OverflowError("double-double power overflow")
+    return result
+
+
 # Reference rules: each simple rule applied on its own, the composite rule as
 # their left-to-right sum, and the pair of composite rules of a plain pass
 # that calls f as it goes, all through the context's scalar operators; the
@@ -367,7 +393,7 @@ def reference_eval(node, x, ctx):
             if k < 0 and base == 0:
                 raise DomainError("zero raised to a negative power", x)
             try:
-                return base ** int(k)
+                return reference_pow(base, int(k))
             except OverflowError:
                 raise DomainError("power overflow", x) from None
         if base == 0:

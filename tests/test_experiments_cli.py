@@ -482,3 +482,82 @@ class TestCliExperiments:
         r = run_cli("experiment1", "--precision", "double")
         assert "epsilon" in r.stdout.splitlines()[0]
         assert any("1e-8" in line and "4" in line for line in r.stdout.splitlines())
+
+
+# Exact stdout of requests whose text involves no libm call, or only
+# integers: every byte of the human and csv layouts is pinned.
+GOLDEN_STDOUT = {
+    ("integrate", "--fn", "1/x", "--a", "1", "--b", "2"): (
+        "method      quintic\n"
+        "precision   double\n"
+        "value       0.6931471750893962\n"
+        "n           4\n"
+        "gap         3.070839271757109e-08\n"
+        "epsilon     1e-8\n"
+        "evaluations 64\n"
+    ),
+    ("integrate", "--fn", "1/x", "--a", "1", "--b", "2", "--output", "csv"): (
+        "value,n_final,gap_final,epsilon,evaluations,method,precision\n"
+        "0.6931471750893962,4,3.070839271757109e-08,1e-8,64,quintic,double\n"
+    ),
+    ("check", "--fn", "1/x", "--a", "1", "--b", "2"): (
+        "sampled order-5 divided differences (200 tuples): consistent-with-convex\n"
+        "  min 0.00864581 at (1.942857, 1.952381, 1.961905, 1.971429, 1.980952, 1.990476, 2.0)\n"
+        "  max 0.822017 at (1.0, 1.009524, 1.019048, 1.028571, 1.038095, 1.047619, 1.057143)\n"
+        "sixth derivative on a 1025-point grid: consistent-with-convex\n"
+        "  min 5.625 at x = 2, max 720 at x = 1\n"
+    ),
+    ("check", "--fn", "1/x", "--a", "1", "--b", "2", "--output", "csv"): (
+        "check,order,samples,verdict,min,max\n"
+        "sampled,5,200,consistent-with-convex,0.008645806304743662,0.8220167773087553\n"
+        "sixth-derivative,5,1025,consistent-with-convex,5.625,720.0\n"
+    ),
+    ("check", "--fn", "plus(x)^3", "--a", "-1", "--b", "1"): (
+        "sampled order-5 divided differences (200 tuples): violated\n"
+        "  min -552.686 at (-0.066667, -0.047619, -0.028571, -0.009524, 0.009524, 0.028571, 0.047619)\n"
+        "  max 527.563 at (-0.085714, -0.066667, -0.047619, -0.028571, -0.009524, 0.009524, 0.028571)\n"
+        "sixth derivative: unavailable "
+        "(plus(...)^1 is not differentiable (integer exponent >= 2 required))\n"
+    ),
+    ("experiment1", "--precision", "double"): (
+        "epsilon  n_quintic  n_cubic\n"
+        "1e-1             1        1\n"
+        "1e-2             1        1\n"
+        "1e-3             1        1\n"
+        "1e-4             1        2\n"
+        "1e-5             2        3\n"
+        "1e-6             2        5\n"
+        "1e-7             3        9\n"
+        "1e-8             4       16\n"
+        "1e-9             6       28\n"
+        "1e-10            9       50\n"
+        "1e-11           13       89\n"
+        "1e-12           19      158\n"
+        "1e-13           27      280\n"
+        f"1e-14    {SKIP_MARKER}  {SKIP_MARKER}\n"
+        f"1e-15    {SKIP_MARKER}  {SKIP_MARKER}\n"
+        f"1e-16    {SKIP_MARKER}  {SKIP_MARKER}\n"
+    ),
+    ("experiment2", "--precision", "double"): (
+        "b   n_quintic  n_cubic\n"
+        "1           2       12\n"
+        "2           5       33\n"
+        "3           9       64\n"
+        "4          14      111\n"
+        "5          21      178\n"
+        "6          29      275\n"
+        "7          40      412\n"
+        "8          54      604\n"
+        "9          71      872\n"
+        "10         93     1244\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_cli_stdout_is_golden(argv, capsys, monkeypatch):
+    monkeypatch.delenv("QUINTIQ_PRECISION", raising=False)
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == GOLDEN_STDOUT[argv]
+    assert captured.err == ""

@@ -111,6 +111,34 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse("2^(x+1)")
 
+    @pytest.mark.parametrize(
+        "text, message, start, end",
+        [
+            ("x^x", "exponent must be a constant", 2, 3),
+            ("x^-x", "exponent must be a constant", 2, 4),
+            ("x^exp(x)", "exponent must be a constant", 2, 8),
+            # a parenthesized exponent is reported with its parentheses
+            ("2^(x+1)", "exponent must be a constant", 2, 7),
+            ("x^(x)", "exponent must be a constant", 2, 5),
+            ("2^((x))", "exponent must be a constant", 2, 7),
+            ("1+&x", "unexpected character '&'", 2, 3),
+            ("1+foo(x)", "unknown identifier 'foo'", 2, 5),
+            ("(x", "expected ')' but found end of input", 2, 2),
+            ("x 1", "unexpected trailing input '1'", 2, 3),
+            ("1+", "expected a number, 'x', '(' or a function but found end of input", 2, 2),
+        ],
+    )
+    def test_syntax_error_byte_ranges(self, text, message, start, end):
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse(text)
+        err = exc_info.value
+        assert (err.message, err.span.start, err.span.end) == (message, start, end)
+        assert str(err) == f"{message} (at bytes {start}..{end})"
+
+    def test_nodes_carry_no_positions(self):
+        assert Variable() == Variable()
+        assert parse(" x") == parse("x") == Variable()
+
     def test_constant_exponent_expressions_fold(self):
         assert parse("x^(1+1)") == Pow(X, Fraction(2))
         assert parse("x^-7") == Pow(X, Fraction(-7))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quintiq.expr import as_integrand, parse
+from quintiq.expr import DomainError, Pow, Variable, as_integrand, parse
 from quintiq.scalars import (
     DOUBLE,
     DOUBLE_DOUBLE,
@@ -24,7 +24,7 @@ from quintiq.scalars import (
     short_decimal,
 )
 
-from support import dd_to_mpf, ref_add, ref_div, ref_mul, ref_sub
+from support import dd_to_mpf, ref_add, ref_div, ref_mul, ref_sub, reference_pow
 
 mpmath.mp.dps = 50
 
@@ -293,6 +293,52 @@ def test_dd_positive_power_overflows_like_double():
     assert 1e200**-2 == 0.0
     r = DoubleDouble(1e200) ** -2
     assert (r.hi, r.lo) == (0.0, 0.0)
+
+
+def _pow_outcome(power):
+    """The bits of a power's result, or the type of the error it raised."""
+    try:
+        r = power()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+    return _bits(r.hi, r.lo)
+
+
+# the tape's DomainError text for each error of the scalar power
+_POW_DOMAIN_TEXT = {
+    OverflowError: "power overflow",
+    ZeroDivisionError: "zero raised to a negative power",
+}
+
+
+@given(
+    st.one_of(dd_values(), st.sampled_from([math.nan, math.inf, -math.inf]).map(DoubleDouble)),
+    st.integers(-12, 12),
+)
+@settings(max_examples=500)
+@example(DoubleDouble(1e200), 2)  # the power overflows
+@example(DoubleDouble(1e-200), -2)  # the positive power underflows
+@example(DoubleDouble(0.0), -1)
+@example(DoubleDouble(-0.0), 3)
+@example(DoubleDouble(math.nan), 2)
+@example(DoubleDouble(math.nan), -2)
+@example(DoubleDouble(math.inf), 3)
+@example(DoubleDouble(math.inf), -3)
+@example(DoubleDouble(-math.inf), 3)
+@example(DoubleDouble(-math.inf), -2)
+@example(DoubleDouble(1.5, 1e-17), True)
+def test_dd_power_kernel_tape_and_reference_agree_bitwise(x, n):
+    want = _pow_outcome(lambda: reference_pow(x, n))
+    assert _pow_outcome(lambda: x**n) == want
+    if isinstance(n, bool):
+        return  # a tape's exponent is never a bool
+    f = as_integrand(Pow(Variable(), Fraction(n)), DOUBLE_DOUBLE)
+    try:
+        got = _pow_outcome(lambda: f(x))
+    except DomainError as exc:
+        assert exc.message == _POW_DOMAIN_TEXT.get(want)
+    else:
+        assert got == want
 
 
 def test_dd_negative_power_of_an_underflowing_base_overflows_like_double():
