@@ -18,6 +18,7 @@ QUINTIQ_PRECISION environment variable overrides either and the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,6 +44,7 @@ EXIT_BUDGET_EXCEEDED = 3
 EXIT_BROKEN_PIPE = 141
 
 
+@functools.cache  # built on the first request, then shared by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quintiq",

@@ -9,9 +9,12 @@ of both signs, or indeterminate when everything drowns in roundoff.
 Divided differences amplify roundoff by the inverse point gap raised to the
 order, so all zero-tests use a scale-aware tolerance
 64 * eps * max|f| / gap^order and random tuples enforce a minimum gap.
+Where gap^order underflows the tolerance is unbounded, so no tuple decides
+and the verdict is indeterminate; where it overflows the tolerance is 0.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -98,6 +101,10 @@ def check_n_convexity(
     m = order + 2  # points per tuple
     tuples = _window_tuples(a, b, m, samples // 2)
     tuples += _random_tuples(a, b, m, samples - len(tuples), seed, (b - a) * 1e-3 / samples)
+    if any(not pts[i] < pts[i + 1] for pts in tuples for i in range(m - 1)):
+        raise ValueError(
+            f"the interval [{a!r}, {b!r}] is too narrow to sample {m} distinct points in double"
+        )
 
     abscissae = [ctx.const(p) for pts in tuples for p in pts]
     values = _values(f, abscissae)
@@ -114,7 +121,11 @@ def check_n_convexity(
         top = float(divided_difference(xs, vals))
         min_gap = min(pts[i + 1] - pts[i] for i in range(m - 1))
         scale = max(abs(float(v)) for v in vals)
-        tol = 64.0 * ctx.eps * scale / min_gap**order
+        try:
+            power = min_gap**order
+        except OverflowError:
+            power = math.inf
+        tol = 64.0 * ctx.eps * scale / power if power else math.inf
         if top < -tol:
             saw_negative = True
         elif top > tol:

@@ -18,6 +18,10 @@ Numeric literals are decimal with an optional exponent and are kept as exact
 at full precision.  Exponents must fold to a constant at parse time; only
 integer exponents are differentiable.
 
+Each operator is declared once, on its node class, where the parser, the
+one folding constructor `_mk` and `to_text` read it.  A constant that a
+precision cannot hold fails to bind with an `OverflowError` naming it.
+
 Nodes hold no source positions: only the tokens do, so a syntax error
 carries the byte range (`SourceSpan`) of the tokens it names.  A
 non-constant exponent is reported from its first token to its last, its
@@ -39,6 +43,8 @@ has 36,961 nodes as a tree but 1,530 distinct node objects.
 """
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,122 +92,110 @@ class NotDifferentiable(ExprError):
 
 
 # --------------------------------------------------------------------------
-# Expression nodes
+# Expression nodes.  Besides its fields, each class declares its operator:
+# ``prec``, its binding strength; ``symbol`` (binary operators) or ``name``
+# (functions), its syntax; and ``fold``, its exact value on literal operands,
+# which is None, or returns None, where it does not fold (a zero divisor).
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 @dataclass(frozen=True)
 class Constant:
     value: Fraction
+    prec = _PREC_ATOM  # _const_text parenthesizes negative and fractional values
 
 
 @dataclass(frozen=True)
 class Variable:
     """The abscissa x."""
 
+    prec = _PREC_ATOM
+
 
 @dataclass(frozen=True)
 class Add:
     left: "ExprNode"
     right: "ExprNode"
+    symbol, prec, fold = "+", _PREC_ADD, operator.add
 
 
 @dataclass(frozen=True)
 class Sub:
     left: "ExprNode"
     right: "ExprNode"
+    symbol, prec, fold = "-", _PREC_ADD, operator.sub
 
 
 @dataclass(frozen=True)
 class Mul:
     left: "ExprNode"
     right: "ExprNode"
+    symbol, prec, fold = "*", _PREC_MUL, operator.mul
 
 
 @dataclass(frozen=True)
 class Div:
     left: "ExprNode"
     right: "ExprNode"
+    symbol, prec = "/", _PREC_MUL
+    fold = staticmethod(lambda a, b: a / b if b != 0 else None)
 
 
 @dataclass(frozen=True)
 class Neg:
     child: "ExprNode"
+    prec, fold = _PREC_NEG, operator.neg
 
 
 @dataclass(frozen=True)
 class Pow:
     base: "ExprNode"
     exponent: Fraction
+    prec = _PREC_POW
 
 
 @dataclass(frozen=True)
 class Exp:
     child: "ExprNode"
+    name, prec, fold = "exp", _PREC_ATOM, None
 
 
 @dataclass(frozen=True)
 class Ln:
     child: "ExprNode"
+    name, prec, fold = "ln", _PREC_ATOM, None
 
 
 @dataclass(frozen=True)
 class Plus:
     child: "ExprNode"
+    name, prec = "plus", _PREC_ATOM
+    fold = staticmethod(lambda v: max(v, Fraction(0)))
 
 
 ExprNode = Union[Constant, Variable, Add, Sub, Mul, Div, Neg, Pow, Exp, Ln, Plus]
 
-_FOLD_POW_LIMIT = 512  # don't fold astronomically large constant powers
-
-
-# Smart constructors: fold literal-only subtrees exactly (and nothing else).
-
-
-def _mk_neg(c):
-    if isinstance(c, Constant):
-        return Constant(-c.value)
-    return Neg(c)
-
-
-def _mk_add(l, r):
-    if isinstance(l, Constant) and isinstance(r, Constant):
-        return Constant(l.value + r.value)
-    return Add(l, r)
-
-
-def _mk_sub(l, r):
-    if isinstance(l, Constant) and isinstance(r, Constant):
-        return Constant(l.value - r.value)
-    return Sub(l, r)
-
-
-def _mk_mul(l, r):
-    if isinstance(l, Constant) and isinstance(r, Constant):
-        return Constant(l.value * r.value)
-    return Mul(l, r)
-
-
-def _mk_div(l, r):
-    if isinstance(l, Constant) and isinstance(r, Constant) and r.value != 0:
-        return Constant(l.value / r.value)
-    return Div(l, r)
+def _mk(kind, a, b=None):
+    """``kind(a)`` or ``kind(a, b)``, folded exactly by ``kind.fold`` to a
+    `Constant` when every operand is one; nothing else folds."""
+    if type(a) is Constant and kind.fold is not None:
+        if b is None:
+            return Constant(kind.fold(a.value))
+        if type(b) is Constant and (value := kind.fold(a.value, b.value)) is not None:
+            return Constant(value)
+    return kind(a) if b is None else kind(a, b)
 
 
 def _mk_pow(base, exponent: Fraction):
     if (
         isinstance(base, Constant)
         and exponent.denominator == 1
-        and abs(exponent.numerator) <= _FOLD_POW_LIMIT
+        and abs(exponent.numerator) <= 512  # don't fold astronomically large powers
         and not (base.value == 0 and exponent < 0)
     ):
         return Constant(base.value ** int(exponent))
     return Pow(base, exponent)
-
-
-def _mk_plus(c):
-    if isinstance(c, Constant):
-        return Constant(max(c.value, Fraction(0)))
-    return Plus(c)
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +207,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-_FUNCTIONS = {"exp": Exp, "ln": Ln, "plus": Plus}
+_FUNCTIONS = {kind.name: kind for kind in (Exp, Ln, Plus)}
+_BINARY = {kind.symbol: kind for kind in (Add, Sub, Mul, Div)}
 
 
 @dataclass
@@ -269,24 +264,21 @@ class _Parser:
             raise ExprSyntaxError(f"expected {what} but found {found}", self.cur.span)
         return self.advance()
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.cur.kind in ("+", "-"):
-            mk = _mk_add if self.advance().kind == "+" else _mk_sub
-            node = mk(node, self.parse_term())
-        return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.cur.kind in ("*", "/"):
-            mk = _mk_mul if self.advance().kind == "*" else _mk_div
-            node = mk(node, self.parse_unary())
+    def parse_expr(self, prec=_PREC_ADD):
+        """A left-associative chain of the binary operators of precedence prec."""
+        node = self.parse_expr(_PREC_MUL) if prec == _PREC_ADD else self.parse_unary()
+        kind = _BINARY.get(self.cur.kind)
+        while kind is not None and kind.prec == prec:
+            self.advance()
+            right = self.parse_expr(_PREC_MUL) if prec == _PREC_ADD else self.parse_unary()
+            node = _mk(kind, node, right)
+            kind = _BINARY.get(self.cur.kind)
         return node
 
     def parse_unary(self):
         if self.cur.kind == "-":
             self.advance()
-            return _mk_neg(self.parse_unary())
+            return _mk(Neg, self.parse_unary())
         return self.parse_power()
 
     def parse_power(self):
@@ -316,9 +308,7 @@ class _Parser:
                 self.expect("(", f"'(' after {tok.text!r}")
                 arg = self.parse_expr()
                 self.expect(")", "')'")
-                if tok.text == "plus":
-                    return _mk_plus(arg)
-                return _FUNCTIONS[tok.text](arg)
+                return _mk(_FUNCTIONS[tok.text], arg)
             raise UnknownIdentifierError(tok.text, tok.span)
         if tok.kind == "(":
             self.advance()
@@ -504,8 +494,6 @@ _MUL, _ADD, _SUB, _POW, _DIV, _NEG, _EXP, _LN, _PLUS, _ROOT = range(10)
 _BINARY_OPS = {Mul: _MUL, Add: _ADD, Sub: _SUB, Div: _DIV}
 _BINARY_CODES = frozenset(_BINARY_OPS.values())
 _UNARY_OPS = {Neg: _NEG, Exp: _EXP, Ln: _LN, Plus: _PLUS}
-# the smart constructor of each node type that folds (exp and ln never do)
-_FOLDS = {Add: _mk_add, Sub: _mk_sub, Mul: _mk_mul, Div: _mk_div, Neg: _mk_neg, Plus: _mk_plus}
 
 
 def _compile(root, ctx):
@@ -523,8 +511,8 @@ class _Compiler:
     keyed on its structure -- type, operand registers, constant value or
     exponent -- so structurally equal subtrees share one register and one
     instruction.  A node whose operands all sit in constant registers is
-    handed to its smart constructor (`_mk_add` and the others, which `parse`
-    and `differentiate` build with); when that folds it, the node takes the
+    rebuilt by the smart constructor (`_mk` or `_mk_pow`, which `parse` and
+    `differentiate` build with); when that folds it, the node takes the
     register of the folded constant, so a raw tree evaluates as the tree its
     `to_text` parses back to.  (A class rather than closures: a recursive
     closure is a reference cycle, which would keep every compiled tree's
@@ -545,9 +533,21 @@ class _Compiler:
         slot = self.numbers.get(key)
         if slot is None:
             slot = self.numbers[key] = len(self.init)
-            self.init.append(self.ctx.const(value))
+            self.init.append(self.bind(value))
             self.exact[slot] = Constant(value)
         return slot
+
+    def bind(self, value: Fraction):
+        try:
+            return self.ctx.const(value)
+        except OverflowError:
+            # its decimal exponent, as printing 1e999999 would take a million digits
+            digits = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+            e = math.floor(round(digits, 9))
+            name = f"{'-' if value < 0 else ''}{10 ** (digits - e):.6g}e{e:+d}"
+            raise OverflowError(
+                f"the constant {name} is out of range in {self.ctx.name} precision"
+            ) from None
 
     def fold(self, node):
         """The register of a smart constructor's result if it is a constant,
@@ -576,7 +576,7 @@ class _Compiler:
             a = self.walk(node.left)
             b = self.walk(node.right)
             if a in exact and b in exact:
-                slot = self.fold(_FOLDS[kind](exact[a], exact[b]))
+                slot = self.fold(_mk(kind, exact[a], exact[b]))
             if slot is None:
                 slot = self.emit((kind, a, b), _BINARY_OPS[kind], a, b)
         elif kind is Pow:
@@ -588,12 +588,12 @@ class _Compiler:
                 if k.denominator == 1:
                     slot = self.emit((Pow, a, k), _POW, a, int(k))
                 else:
-                    bound = (self.ctx.const(k), self.zero if k > 0 else None)
+                    bound = (self.bind(k), self.zero if k > 0 else None)
                     slot = self.emit((Pow, a, k), _ROOT, a, bound)
         elif kind in _UNARY_OPS:
             a = self.walk(node.child)
-            if a in exact and kind in _FOLDS:
-                slot = self.fold(_FOLDS[kind](exact[a]))
+            if a in exact:
+                slot = self.fold(_mk(kind, exact[a]))
             if slot is None:
                 zero = self.zero if kind is Plus else None
                 slot = self.emit((kind, a), _UNARY_OPS[kind], a, zero)
@@ -639,29 +639,23 @@ def _derive(node, memo: dict):
         return _ZERO
     if isinstance(node, Variable):
         return _ONE
-    if isinstance(node, Add):
-        return _mk_add(_derivative(node.left, memo), _derivative(node.right, memo))
-    if isinstance(node, Sub):
-        return _mk_sub(_derivative(node.left, memo), _derivative(node.right, memo))
+    if isinstance(node, (Add, Sub)):
+        return _mk(type(node), _derivative(node.left, memo), _derivative(node.right, memo))
     if isinstance(node, Neg):
-        return _mk_neg(_derivative(node.child, memo))
-    if isinstance(node, Mul):
-        return _mk_add(
-            _mk_mul(_derivative(node.left, memo), node.right),
-            _mk_mul(node.left, _derivative(node.right, memo)),
-        )
-    if isinstance(node, Div):
-        num = _mk_sub(
-            _mk_mul(_derivative(node.left, memo), node.right),
-            _mk_mul(node.left, _derivative(node.right, memo)),
-        )
-        return _mk_div(num, _mk_pow(node.right, Fraction(2)))
+        return _mk(Neg, _derivative(node.child, memo))
+    if isinstance(node, (Mul, Div)):
+        # the product rule's two terms; the quotient rule's numerator subtracts them
+        du_v = _mk(Mul, _derivative(node.left, memo), node.right)
+        u_dv = _mk(Mul, node.left, _derivative(node.right, memo))
+        if isinstance(node, Mul):
+            return _mk(Add, du_v, u_dv)
+        return _mk(Div, _mk(Sub, du_v, u_dv), _mk_pow(node.right, Fraction(2)))
     if isinstance(node, Pow):
         return _diff_pow(node, memo)
     if isinstance(node, Exp):
-        return _mk_mul(Exp(node.child), _derivative(node.child, memo))
+        return _mk(Mul, Exp(node.child), _derivative(node.child, memo))
     if isinstance(node, Ln):
-        return _mk_div(_derivative(node.child, memo), node.child)
+        return _mk(Div, _derivative(node.child, memo), node.child)
     if isinstance(node, Plus):
         raise NotDifferentiable(
             "plus(...) is differentiable only inside an integer power >= 2"
@@ -684,28 +678,11 @@ def _diff_pow(node: Pow, memo: dict) -> ExprNode:
         inner = _derivative(node.base.child, memo)
     else:
         inner = _derivative(node.base, memo)
-    return _mk_mul(
-        Constant(Fraction(n)), _mk_mul(_mk_pow(node.base, Fraction(n - 1)), inner)
-    )
+    return _mk(Mul, Constant(Fraction(n)), _mk(Mul, _mk_pow(node.base, Fraction(n - 1)), inner))
 
 
 # --------------------------------------------------------------------------
 # Printing
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    # Constants are atomic: _const_text self-parenthesizes negatives/fractions
-    return _PREC_ATOM
 
 
 def _const_text(value: Fraction) -> str:
@@ -720,30 +697,18 @@ def to_text(node: ExprNode) -> str:
         return _const_text(node.value)
     if isinstance(node, Variable):
         return "x"
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        left = _wrap(node.left, _PREC_ADD)
-        right = _wrap(node.right, _PREC_ADD + 1)
-        return f"{left}{op}{right}"
-    if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        left = _wrap(node.left, _PREC_MUL)
-        right = _wrap(node.right, _PREC_MUL + 1)
-        return f"{left}{op}{right}"
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return f"{_wrap(node.left, node.prec)}{node.symbol}{_wrap(node.right, node.prec + 1)}"
     if isinstance(node, Neg):
-        return "-" + _wrap(node.child, _PREC_NEG)
+        return "-" + _wrap(node.child, node.prec)
     if isinstance(node, Pow):
         base = _wrap(node.base, _PREC_ATOM)
         return f"{base}^{_const_text(node.exponent)}"
-    if isinstance(node, Exp):
-        return f"exp({to_text(node.child)})"
-    if isinstance(node, Ln):
-        return f"ln({to_text(node.child)})"
-    if isinstance(node, Plus):
-        return f"plus({to_text(node.child)})"
+    if isinstance(node, (Exp, Ln, Plus)):
+        return f"{node.name}({to_text(node.child)})"
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def _wrap(node, min_prec: int) -> str:
     text = to_text(node)
-    return f"({text})" if _prec(node) < min_prec else text
+    return f"({text})" if node.prec < min_prec else text

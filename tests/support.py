@@ -7,10 +7,12 @@ powers rationalize), and transcendental references are mpmath at 50 digits
 or frozen decimal strings derived from it.  The references -- one simple
 rule per subinterval, double-double operators composed from Dekker's
 error-free transformations, a power by binary powering through those
-operators, a recursive evaluator and a recursive differentiation -- are the
+operators, a recursive evaluator, a recursive differentiation, one folding
+constructor per operator and a printer with its own precedences -- are the
 plain forms that the package's fused composite pass, written-out operators,
-power kernel and tapes must reproduce bit for bit, and whose trees its
-memoized differentiation must build.
+power kernel and tapes must reproduce bit for bit, whose trees its memoized
+differentiation must build, and which its one constructor `_mk` and its
+`to_text` must match.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from quintiq.expr import (
     _ONE, _ZERO, Add, Constant, Div, DomainError, Exp, Ln, Mul, Neg, NotDifferentiable,
-    Plus, Pow, Sub, Variable, _mk_add, _mk_div, _mk_mul, _mk_neg, _mk_pow, _mk_sub,
+    Plus, Pow, Sub, Variable,
 )
 from quintiq.rules import IntegrandError, Interval, blend_q, call_integrand, rule_table
 from quintiq.scalars import DOUBLE, DoubleDouble
@@ -419,6 +421,115 @@ def reference_eval(node, x, ctx):
             raise DomainError("ln of a non-positive argument", x)
         return ctx.ln(v)
     return ctx.const(0) if v <= 0 else v  # Plus: nan passes through
+
+
+# One folding constructor per operator and a printer with a precedence
+# function: the plain forms that the package's single `_mk` and the
+# `to_text` reading each node class's ``symbol``, ``name`` and ``prec`` must
+# reproduce.
+
+
+def _mk_neg(c):
+    if isinstance(c, Constant):
+        return Constant(-c.value)
+    return Neg(c)
+
+
+def _mk_add(l, r):
+    if isinstance(l, Constant) and isinstance(r, Constant):
+        return Constant(l.value + r.value)
+    return Add(l, r)
+
+
+def _mk_sub(l, r):
+    if isinstance(l, Constant) and isinstance(r, Constant):
+        return Constant(l.value - r.value)
+    return Sub(l, r)
+
+
+def _mk_mul(l, r):
+    if isinstance(l, Constant) and isinstance(r, Constant):
+        return Constant(l.value * r.value)
+    return Mul(l, r)
+
+
+def _mk_div(l, r):
+    if isinstance(l, Constant) and isinstance(r, Constant) and r.value != 0:
+        return Constant(l.value / r.value)
+    return Div(l, r)
+
+
+def _mk_pow(base, exponent: Fraction):
+    if (
+        isinstance(base, Constant)
+        and exponent.denominator == 1
+        and abs(exponent.numerator) <= 512
+        and not (base.value == 0 and exponent < 0)
+    ):
+        return Constant(base.value ** int(exponent))
+    return Pow(base, exponent)
+
+
+def _mk_plus(c):
+    if isinstance(c, Constant):
+        return Constant(max(c.value, Fraction(0)))
+    return Plus(c)
+
+
+#: The reference constructor of each kind that `_mk` builds.
+REFERENCE_CONSTRUCTORS = {
+    Add: _mk_add, Sub: _mk_sub, Mul: _mk_mul, Div: _mk_div, Neg: _mk_neg, Plus: _mk_plus,
+    Exp: Exp, Ln: Ln,
+}
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+def _prec(node) -> int:
+    if isinstance(node, (Add, Sub)):
+        return _PREC_ADD
+    if isinstance(node, (Mul, Div)):
+        return _PREC_MUL
+    if isinstance(node, Neg):
+        return _PREC_NEG
+    if isinstance(node, Pow):
+        return _PREC_POW
+    return _PREC_ATOM
+
+
+def _const_text(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator) if value >= 0 else f"({value.numerator})"
+    return f"({value.numerator}/{value.denominator})"
+
+
+def reference_to_text(node) -> str:
+    if isinstance(node, Constant):
+        return _const_text(node.value)
+    if isinstance(node, Variable):
+        return "x"
+    if isinstance(node, (Add, Sub)):
+        op = "+" if isinstance(node, Add) else "-"
+        return f"{_wrap(node.left, _PREC_ADD)}{op}{_wrap(node.right, _PREC_ADD + 1)}"
+    if isinstance(node, (Mul, Div)):
+        op = "*" if isinstance(node, Mul) else "/"
+        return f"{_wrap(node.left, _PREC_MUL)}{op}{_wrap(node.right, _PREC_MUL + 1)}"
+    if isinstance(node, Neg):
+        return "-" + _wrap(node.child, _PREC_NEG)
+    if isinstance(node, Pow):
+        return f"{_wrap(node.base, _PREC_ATOM)}^{_const_text(node.exponent)}"
+    if isinstance(node, Exp):
+        return f"exp({reference_to_text(node.child)})"
+    if isinstance(node, Ln):
+        return f"ln({reference_to_text(node.child)})"
+    if isinstance(node, Plus):
+        return f"plus({reference_to_text(node.child)})"
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _wrap(node, min_prec: int) -> str:
+    text = reference_to_text(node)
+    return f"({text})" if _prec(node) < min_prec else text
 
 
 # The plain recursive differentiation that the memoized `differentiate` must

@@ -9,7 +9,7 @@ import time
 import mpmath
 import pytest
 
-from quintiq.cli import main
+from quintiq.cli import _build_parser, main
 from quintiq.experiments import SKIP_MARKER, experiment1, experiment2
 from quintiq.scalars import DOUBLE, mp_context
 
@@ -225,6 +225,27 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.err == "error: the expression is nested too deeply\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "fn", ["(" * 150 + "x" + ")" * 150, "+".join(["x"] * 800)], ids=["parentheses", "long-sum"]
+    )
+    def test_nesting_within_the_limits_is_0(self, fn):
+        r = run_cli("integrate", f"--fn={fn}", "--a", "1", "--b", "2")
+        assert (r.returncode, r.stderr) == (0, "")
+
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    @pytest.mark.parametrize("fn, value", [("1e400*x", "1e+400"), ("x+1e999999", "1e+999999")])
+    def test_out_of_range_constant_is_2_and_named(self, fn, value, precision, capsys):
+        code = main(["integrate", f"--fn={fn}", "--a", "1", "--b", "2", "--precision", precision])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: the constant {value} is out of range in {precision} precision\n"
+        )
+
+    def test_constant_beyond_the_double_range_integrates_in_mp(self, capsys):
+        code = main(["integrate", "--fn=1e400*x", "--a", "1", "--b", "2", "--precision", "mp:40"])
+        assert code == 0
+        assert "value       1.5e+400\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("precision", ["double", "dd"])
     def test_negative_power_of_an_underflowing_base_is_power_overflow(self, precision):
@@ -452,6 +473,33 @@ class TestCliCheck:
         assert payload["sixth_derivative"] is None
 
 
+    @pytest.mark.parametrize("a, b", [("0", "1e-300"), ("1e300", "1.0000001e300")])
+    def test_beyond_the_roundoff_range_is_indeterminate(self, a, b, capsys):
+        # the tolerance's gap**5 underflows on the first interval and
+        # overflows on the second
+        code = main(["check", "--fn", "x", "--a", a, "--b", b, "--output", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["sampled"]["verdict"] == "indeterminate"
+
+    def test_verify_convexity_beyond_the_roundoff_range_keeps_the_integral(self, capsys):
+        code = main([
+            "integrate", "--fn", "x", "--a", "0", "--b", "1e-300", "--verify-convexity",
+            "--output", "json",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_final"] == 1
+        assert payload["convexity"]["verdict"] == "indeterminate"
+
+    def test_interval_too_narrow_to_sample_is_2(self, capsys):
+        code = main(["check", "--fn", "x", "--a", "1e-320", "--b", "2e-320"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the interval [1e-320, 2e-320] is too narrow to sample "
+            "7 distinct points in double\n"
+        )
+
+
 class TestCliExperiments:
     def test_experiment1_csv_golden_double(self):
         r = run_cli("experiment1", "--precision", "double", "--output", "csv")
@@ -561,3 +609,26 @@ def test_cli_stdout_is_golden(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == GOLDEN_STDOUT[argv]
     assert captured.err == ""
+
+
+def test_one_process_answers_as_fresh_interpreters(capsys, monkeypatch):
+    # the argument parser is built once per process and reused by each request
+    monkeypatch.delenv("QUINTIQ_PRECISION", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    fn = ["--fn", "1/x", "--a", "1", "--b", "2"]
+    requests = [
+        ["integrate", *fn, "--verify-convexity"],
+        ["integrate", *fn],
+        ["integrate", "--fn", "1/x", "--a", "1"],  # a usage error: --b is missing
+        ["check", *fn, "--grid", "8"],
+        ["check", *fn],
+    ]
+    for argv in requests:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (captured.out, captured.err, code) == (fresh.stdout, fresh.stderr, fresh.returncode)
+    assert _build_parser() is _build_parser()

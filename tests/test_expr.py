@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -25,6 +26,7 @@ from quintiq.expr import (
     _CHUNK,
     _compile,
     _Compiler,
+    _mk,
     as_integrand,
     differentiate,
     evaluate,
@@ -36,7 +38,13 @@ from quintiq.rules import Interval
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, DoubleDouble, mp_context
 
 import corpus as corpus_mod
-from support import expression_trees, reference_differentiate, reference_eval
+from support import (
+    REFERENCE_CONSTRUCTORS,
+    expression_trees,
+    reference_differentiate,
+    reference_eval,
+    reference_to_text,
+)
 
 X = Variable()
 
@@ -599,3 +607,91 @@ def test_differentiate_builds_the_recursive_tree(node, order):
         assert _tree_size(got)[0] == _tree_size(want)[0]
         if _tree_size(want)[0] > 20_000:  # the plain recursion grows too slow
             return
+
+
+# --------------------------------------------------------------------------
+# Printed text and compiled tapes, pinned
+
+
+# Edge expressions for signs, exponents and parentheses that the printer
+# and the folding must keep as they are.
+_PIN_EDGES = [
+    "--x", "x--x", "(-x)^2", "-x^2", "2^-3*x", "(x^(-1/2))^3", "x-(1-x)-(2+x)",
+    "3*(2/x)-x/(2-x)", "-(x*x)/-(1+x)", "plus(1-x)^3*exp(-x)", "ln(1+x^2)",
+    "1/(1-1)+x", "(0.1*x+1/3)^-2",
+]
+
+
+def _pin_record(v):
+    """A register value, immediate or operand as plain data."""
+    if v is None or isinstance(v, int):
+        return v
+    if isinstance(v, tuple):
+        return tuple(_pin_record(e) for e in v)
+    return _bits(v)
+
+
+def _printed_and_compiled() -> str:
+    """sha256 over to_text and _compile output for the corpus and the edge
+    expressions, at derivative orders 0-6, in double, dd and mp:30."""
+    h = hashlib.sha256()
+    for text in [fn.text for fn in corpus_mod.CORPUS] + _PIN_EDGES:
+        node = parse(text)
+        for order in range(7):
+            if order:
+                try:
+                    node = differentiate(node)
+                except NotDifferentiable as exc:
+                    h.update(f"{text} {order} NotDifferentiable: {exc}\n".encode())
+                    break
+            h.update(f"{text} {order} {to_text(node)}\n".encode())
+            for name in sorted(_CONTEXTS):
+                init, tape, out = _compile(node, _CONTEXTS[name])
+                record = (_pin_record(tuple(init)), _pin_record(tape), out)
+                h.update(f"{name} {record!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_printed_text_and_tapes_are_pinned():
+    assert _printed_and_compiled() == (
+        "4fec8d184dd68b9949d7180cabd3cf0da6a3c88d2ce38652020edeef4e8c7687"
+    )
+
+
+# --------------------------------------------------------------------------
+# The operators declared on the node classes against one constructor and
+# one printer branch per operator
+
+_LITERALS = st.sampled_from(
+    [Fraction(0), Fraction(-3), Fraction(1, 3), Fraction(-7, 2), Fraction(5)]
+).map(Constant)
+
+
+@given(
+    st.sampled_from(sorted(REFERENCE_CONSTRUCTORS, key=lambda kind: kind.__name__)),
+    st.one_of(_LITERALS, expression_trees()),
+    st.one_of(_LITERALS, expression_trees()),
+)
+@settings(max_examples=300, deadline=None)
+@example(Div, Constant(Fraction(1)), Constant(Fraction(0)))
+@example(Div, Constant(Fraction(0)), Constant(Fraction(0)))
+@example(Plus, Constant(Fraction(-1, 2)), X)
+@example(Plus, Constant(Fraction(0)), X)
+@example(Exp, Constant(Fraction(0)), X)
+def test_mk_folds_as_the_reference_constructors(kind, a, b):
+    reference = REFERENCE_CONSTRUCTORS[kind]
+    if kind in (Add, Sub, Mul, Div):
+        got, want = _mk(kind, a, b), reference(a, b)
+    else:
+        got, want = _mk(kind, a), reference(a)
+    # repr tells a Fraction value from an int one
+    assert (got, repr(got)) == (want, repr(want))
+
+
+@given(expression_trees())
+@settings(max_examples=300, deadline=None)
+@example(Neg(Neg(Sub(X, Neg(X)))))
+@example(Pow(Neg(Pow(X, Fraction(-1, 2))), Fraction(3)))
+@example(Div(Mul(X, Div(X, X)), Sub(X, Add(X, X))))
+def test_to_text_matches_the_reference_printer(node):
+    assert to_text(node) == reference_to_text(node)
