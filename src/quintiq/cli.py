@@ -22,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import expr as expr_mod
 from .adaptive import (
@@ -143,15 +144,8 @@ def _result_payload(result: AdaptiveResult, ctx, precision: str, args) -> dict:
 
 
 def _report_payload(report: ConvexityReport) -> dict:
-    return {
-        "order": report.order,
-        "samples_tested": report.samples_tested,
-        "min_divided_difference": report.min_divided_difference,
-        "witness": list(report.witness),
-        "max_divided_difference": report.max_divided_difference,
-        "max_witness": list(report.max_witness),
-        "verdict": report.verdict.value,
-    }
+    """The report's fields, in order, with the verdict's value."""
+    return {**asdict(report), "verdict": report.verdict.value}
 
 
 def _emit(output: str, payload: dict, csv_lines: list, human_lines: list) -> int:
@@ -204,6 +198,13 @@ def _cmd_integrate(args) -> int:
     return _emit(args.output, payload, csv, human)
 
 
+def _points_text(points) -> str:
+    """A witness tuple rounded to 6 decimals, or in full where rounding
+    would make two of its distinct points equal."""
+    rounded = tuple(round(p, 6) for p in points)
+    return str(rounded if len(set(rounded)) == len(set(points)) else tuple(points))
+
+
 def _cmd_check(args) -> int:
     ctx, precision = _resolve_precision(args.precision, "check")
     tree = expr_mod.parse(args.fn)
@@ -233,8 +234,8 @@ def _cmd_check(args) -> int:
     human = [
         f"sampled order-{s['order']} divided differences ({s['samples_tested']} tuples): "
         f"{s['verdict']}",
-        f"  min {s['min_divided_difference']:.6g} at {tuple(round(p, 6) for p in s['witness'])}",
-        f"  max {s['max_divided_difference']:.6g} at {tuple(round(p, 6) for p in s['max_witness'])}",
+        f"  min {s['min_divided_difference']:.6g} at {_points_text(s['witness'])}",
+        f"  max {s['max_divided_difference']:.6g} at {_points_text(s['max_witness'])}",
     ]
     for name, r in (("sampled", s), ("sixth-derivative", d)):
         if r is not None:

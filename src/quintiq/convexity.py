@@ -11,6 +11,9 @@ order, so all zero-tests use a scale-aware tolerance
 64 * eps * max|f| / gap^order and random tuples enforce a minimum gap.
 Where gap^order underflows the tolerance is unbounded, so no tuple decides
 and the verdict is indeterminate; where it overflows the tolerance is 0.
+
+Both checkers hand one (value, tolerance, witness) entry per tuple or grid
+point to one report builder, `_report`, which decides the verdict.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from . import expr as expr_mod
 from .composite import partition_points
@@ -67,14 +71,25 @@ class ConvexityReport:
     verdict: Verdict
 
 
-def _classify(saw_negative: bool, saw_positive: bool) -> Verdict:
-    if saw_negative and saw_positive:
-        return Verdict.VIOLATED
-    if saw_positive:
-        return Verdict.CONSISTENT_WITH_CONVEX
-    if saw_negative:
-        return Verdict.CONSISTENT_WITH_CONCAVE
-    return Verdict.INDETERMINATE
+#: The verdict on (a value below its -tolerance, a value above its tolerance).
+_VERDICTS = {
+    (True, True): Verdict.VIOLATED,
+    (False, True): Verdict.CONSISTENT_WITH_CONVEX,
+    (True, False): Verdict.CONSISTENT_WITH_CONCAVE,
+    (False, False): Verdict.INDETERMINATE,
+}
+
+
+def _report(order: int, entries: list) -> ConvexityReport:
+    """The report on (value, tolerance, witness) entries: the first least
+    and the first greatest value with their witnesses (a nan first value is
+    both), and the verdict from the values beyond their tolerances."""
+    low, _, witness = min(entries, key=itemgetter(0))
+    high, _, max_witness = max(entries, key=itemgetter(0))
+    negative = any(v < -tol for v, tol, _ in entries)
+    positive = any(v > tol for v, tol, _ in entries)
+    verdict = _VERDICTS[negative, positive]
+    return ConvexityReport(order, len(entries), low, witness, high, max_witness, verdict)
 
 
 def check_n_convexity(
@@ -108,16 +123,10 @@ def check_n_convexity(
 
     abscissae = [ctx.const(p) for pts in tuples for p in pts]
     values = _values(f, abscissae)
-
-    saw_negative = saw_positive = False
-    min_dd = max_dd = None
-    min_witness = max_witness = ()
+    entries = []
     for j, pts in enumerate(tuples):
         xs = abscissae[j * m : (j + 1) * m]
-        if values is None:
-            vals = [call_integrand(f, x) for x in xs]
-        else:
-            vals = values[j * m : (j + 1) * m]
+        vals = values[j * m : (j + 1) * m]
         top = float(divided_difference(xs, vals))
         min_gap = min(pts[i + 1] - pts[i] for i in range(m - 1))
         scale = max(abs(float(v)) for v in vals)
@@ -126,36 +135,21 @@ def check_n_convexity(
         except OverflowError:
             power = math.inf
         tol = 64.0 * ctx.eps * scale / power if power else math.inf
-        if top < -tol:
-            saw_negative = True
-        elif top > tol:
-            saw_positive = True
-        if min_dd is None or top < min_dd:
-            min_dd, min_witness = top, pts
-        if max_dd is None or top > max_dd:
-            max_dd, max_witness = top, pts
-    return ConvexityReport(
-        order=order,
-        samples_tested=len(tuples),
-        min_divided_difference=min_dd,
-        witness=min_witness,
-        max_divided_difference=max_dd,
-        max_witness=max_witness,
-        verdict=_classify(saw_negative, saw_positive),
-    )
+        entries.append((top, tol, pts))
+    return _report(order, entries)
 
 
-def _values(f, xs):
-    """f at all of xs from one run of its ``values`` entry (a bound tape's),
-    or None when f has no such entry or the run fails: f is then called per
-    point, and the first failure raises its `IntegrandError`."""
+def _values(f, xs) -> list:
+    """f at all of xs: from one run of its ``values`` entry (a bound
+    tape's), or, where f has none or the run fails, from one call per point
+    in order, so that the first failure raises its `IntegrandError`."""
     values = getattr(f, "values", None)
-    if values is None:
-        return None
-    try:
-        return values(xs)
-    except (ArithmeticError, ValueError):
-        return None
+    if values is not None:
+        try:
+            return values(xs)
+        except (ArithmeticError, ValueError):
+            pass
+    return [call_integrand(f, x) for x in xs]
 
 
 def _window_tuples(a: float, b: float, m: int, count: int) -> list:
@@ -205,21 +199,8 @@ def sixth_derivative_sign(f_expr, iv: Interval, grid: int, ctx=DOUBLE) -> Convex
     times and propagates evaluation domain errors.
     """
     values = _d6_grid(f_expr, iv, grid, ctx)
-    scale = max(abs(v) for v, _ in values)
-    tol = 64.0 * ctx.eps * scale
-    saw_negative = any(v < -tol for v, _ in values)
-    saw_positive = any(v > tol for v, _ in values)
-    min_v, min_x = min(values, key=lambda t: t[0])
-    max_v, max_x = max(values, key=lambda t: t[0])
-    return ConvexityReport(
-        order=5,
-        samples_tested=grid + 1,
-        min_divided_difference=min_v,
-        witness=(min_x,),
-        max_divided_difference=max_v,
-        max_witness=(max_x,),
-        verdict=_classify(saw_negative, saw_positive),
-    )
+    tol = 64.0 * ctx.eps * max(abs(v) for v, _ in values)
+    return _report(5, [(v, tol, (x,)) for v, x in values])
 
 
 @dataclass(frozen=True)

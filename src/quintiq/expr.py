@@ -35,7 +35,9 @@ Derivative trees repeat whole subtrees (the sixth derivative of ``1/x`` has
 operation once.  The trees themselves are never rewritten.  The tape has
 one runner in every context: each instruction runs over a whole vector of
 abscissae with the context's list kernels (``ctx.lists`` in ``scalars``),
-so a value at one abscissa is a run over a one-element vector.
+so a value at one abscissa is a run over a one-element vector.  The kernels
+and scalar functions decide where an operation is undefined, by raising, and
+one table, `_UNDEFINED`, names what each instruction raises as a `DomainError`.
 
 `differentiate` differentiates each node object of its argument once, so a
 shared subtree has one shared derivative: the sixth derivative of ``1/x``
@@ -374,51 +376,42 @@ def as_integrand(node: ExprNode, ctx=DOUBLE):
     lists = ctx.lists
     to_vector, to_scalars, fill = lists.vector, lists.scalars, lists.fill
     add, sub, mul, div, neg = lists.add, lists.sub, lists.mul, lists.div, lists.neg
-    power, plus, has_zero, each = lists.pow, lists.plus, lists.has_zero, lists.map
-
-    def ln_step(v):
-        if v <= 0:
-            raise _Undefined("ln of a non-positive argument")
-        return ln(v)
+    power, plus, each = lists.pow, lists.plus, lists.map
 
     def run(xs):
         r = [None] * size
         r[0] = xs
         for slot, c in consts:
             r[slot] = fill(c, xs)
-        for op, dst, a, b, dead in steps:
-            if op == _MUL:
-                r[dst] = mul(r[a], r[b])
-            elif op == _ADD:
-                r[dst] = add(r[a], r[b])
-            elif op == _SUB:
-                r[dst] = sub(r[a], r[b])
-            elif op == _POW:
-                if b < 0 and has_zero(r[a]):
-                    raise _Undefined("zero raised to a negative power")
-                try:
+        try:
+            for op, dst, a, b, dead in steps:
+                if op == _MUL:
+                    r[dst] = mul(r[a], r[b])
+                elif op == _ADD:
+                    r[dst] = add(r[a], r[b])
+                elif op == _SUB:
+                    r[dst] = sub(r[a], r[b])
+                elif op == _POW:
                     r[dst] = power(r[a], b)
-                except OverflowError:
-                    raise _Undefined("power overflow") from None
-            elif op == _DIV:
-                if has_zero(r[b]):
-                    raise _Undefined("division by zero")
-                r[dst] = div(r[a], r[b])
-            elif op == _NEG:
-                r[dst] = neg(r[a])
-            elif op == _EXP:
-                try:
+                elif op == _DIV:
+                    r[dst] = div(r[a], r[b])
+                elif op == _NEG:
+                    r[dst] = neg(r[a])
+                elif op == _EXP:
                     r[dst] = each(exp, r[a])
-                except OverflowError:
-                    raise _Undefined("exp overflow") from None
-            elif op == _LN:
-                r[dst] = each(ln_step, r[a])
-            elif op == _PLUS:
-                r[dst] = plus(r[a], b)
-            else:
-                r[dst] = each(lambda v: _root_step(v, b, exp, ln), r[a])
-            for k in dead:
-                r[k] = None
+                elif op == _LN:
+                    r[dst] = each(ln, r[a])
+                elif op == _PLUS:
+                    r[dst] = plus(r[a], b)
+                else:
+                    r[dst] = each(lambda v: _root(v, b, exp, ln), r[a])
+                for k in dead:
+                    r[k] = None
+        except (ArithmeticError, ValueError) as exc:
+            message = _UNDEFINED.get((op, type(exc)))
+            if message is None:
+                raise
+            raise _Undefined(message) from None
         return r[out]
 
     def f(x):
@@ -471,19 +464,14 @@ def _with_last_reads(tape, out) -> tuple:
     return tuple((*ins, tuple(d)) for ins, d in zip(tape, dead))
 
 
-def _root_step(v, b, exp, ln):
-    """A fractional power, defined for positive bases only."""
+def _root(v, b, exp, ln):
+    """A fractional power; ``ln`` raises ValueError for a negative base."""
     k, zero = b
     if v == 0:
         if zero is None:
-            raise _Undefined("zero raised to a negative power")
+            raise ZeroDivisionError
         return zero
-    if v < 0:
-        raise _Undefined("fractional power of a negative base")
-    try:
-        return exp(k * ln(v))
-    except OverflowError:
-        raise _Undefined("power overflow") from None
+    return exp(k * ln(v))
 
 
 # Tape opcodes.  An instruction is (opcode, dst, a, b): registers a and b
@@ -494,6 +482,18 @@ _MUL, _ADD, _SUB, _POW, _DIV, _NEG, _EXP, _LN, _PLUS, _ROOT = range(10)
 _BINARY_OPS = {Mul: _MUL, Add: _ADD, Sub: _SUB, Div: _DIV}
 _BINARY_CODES = frozenset(_BINARY_OPS.values())
 _UNARY_OPS = {Neg: _NEG, Exp: _EXP, Ln: _LN, Plus: _PLUS}
+# (opcode, class of what its kernel raised) -> the DomainError's message;
+# any other exception propagates as it is.
+_UNDEFINED = {
+    (_DIV, ZeroDivisionError): "division by zero",
+    (_POW, ZeroDivisionError): "zero raised to a negative power",
+    (_POW, OverflowError): "power overflow",
+    (_EXP, OverflowError): "exp overflow",
+    (_LN, ValueError): "ln of a non-positive argument",
+    (_ROOT, ZeroDivisionError): "zero raised to a negative power",
+    (_ROOT, ValueError): "fractional power of a negative base",
+    (_ROOT, OverflowError): "power overflow",
+}
 
 
 def _compile(root, ctx):

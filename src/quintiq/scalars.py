@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 from itertools import repeat
 from math import ldexp
@@ -341,11 +341,10 @@ class _ListKernels(NamedTuple):
     add: Callable  # (u, v) -> u + v, element by element
     sub: Callable  # (u, v) -> u - v
     mul: Callable  # (u, v) -> u * v
-    div: Callable  # (u, v) -> u / v, for v free of zeros
+    div: Callable  # (u, v) -> u / v
     neg: Callable  # (u) -> -u
     pow: Callable  # (u, n) -> u ** n for an int n
     plus: Callable  # (u, zero) -> zero where u <= 0, else u
-    has_zero: Callable  # (u) -> whether some element == 0
     map: Callable  # (fn, u) -> fn of each element, a scalar function
     # the composite pass (see composite.composite_pair)
     partition: Callable  # (a, b, n) -> x_0..x_n of [a, b]
@@ -450,7 +449,6 @@ _SCALAR_LISTS = _ListKernels(
     neg=lambda u: list(map(operator.neg, u)),
     pow=lambda u, n: [t**n for t in u],
     plus=lambda u, zero: [zero if t <= 0 else t for t in u],
-    has_zero=lambda u: 0 in u,
     map=lambda fn, u: list(map(fn, u)),
     partition=_partition,
     rule=_rule,
@@ -810,7 +808,6 @@ _DD_LISTS = _ListKernels(
     neg=_neg_lists,
     pow=_pow_lists,
     plus=_plus_lists,
-    has_zero=lambda u: 0.0 in u[0] and any(h == 0.0 and lo == 0.0 for h, lo in zip(*u)),
     map=_map_lists,
     partition=_dd_partition,
     rule=_dd_rule,
@@ -910,6 +907,11 @@ def dd_ln(x: DoubleDouble) -> DoubleDouble:
     if x.hi <= 0.0:
         raise ValueError("logarithm of a non-positive double-double")
     y0 = math.log(x.hi)
+    if y0 < -709.0:
+        # exp(-y0) would overflow: ln(x) = ln(x * 2^k) - k*ln2, with x * 2^k
+        # in [0.5, 1) and the scaling exact
+        k = -math.frexp(x.hi)[1]
+        return dd_ln(DoubleDouble(ldexp(x.hi, k), ldexp(x.lo, k))) - k * _DD_LN2
     # one Newton step on exp(y) = x; the double seed leaves O(eps^2) error
     e = dd_exp(DoubleDouble(-y0))
     return DoubleDouble(y0) + x * e - 1
@@ -1035,7 +1037,11 @@ def short_decimal(value) -> str:
     f = float(value)
     if (f == 0.0 and value != 0) or (math.isinf(f) and value - value == 0):
         # a finite mp value beyond the double range: its str keeps the exponent
-        return f"{Decimal(str(value)).normalize():.6g}"
+        try:
+            return f"{Decimal(str(value)).normalize():.6g}"
+        except (InvalidOperation, Overflow):
+            # an exponent beyond Decimal's
+            return value.context.nstr(value, 6)
     return f"{f:.6g}"
 
 _MP_CACHE: dict[int, MPFloatContext] = {}

@@ -12,7 +12,8 @@ constructor per operator and a printer with its own precedences -- are the
 plain forms that the package's fused composite pass, written-out operators,
 power kernel and tapes must reproduce bit for bit, whose trees its memoized
 differentiation must build, and which its one constructor `_mk` and its
-`to_text` must match.
+`to_text` must match.  The two checkers' own report loops, with their
+verdict function, are the references for the one report builder.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from fractions import Fraction
 import mpmath
 from hypothesis import strategies as st
 
+from quintiq.convexity import ConvexityReport, Verdict
 from quintiq.expr import (
     _ONE, _ZERO, Add, Constant, Div, DomainError, Exp, Ln, Mul, Neg, NotDifferentiable,
     Plus, Pow, Sub, Variable,
@@ -371,7 +373,8 @@ def expression_trees():
 
 
 def reference_eval(node, x, ctx):
-    """Un-memoized recursive evaluation with the tape's domain checks."""
+    """Un-memoized recursive evaluation with explicit domain checks, whose
+    errors the tape's kernels and its table of domain errors must raise."""
     if isinstance(node, Constant):
         return ctx.const(node.value)
     if isinstance(node, Variable):
@@ -585,3 +588,59 @@ def reference_differentiate(node):
             "plus(...) is differentiable only inside an integer power >= 2"
         )
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# The report loops of the two checkers, `check_n_convexity` over its
+# (divided difference, tolerance, tuple) entries and `sixth_derivative_sign`
+# over its (value, abscissa) grid with one tolerance, and their verdict
+# function: the references for the one report builder `_report`.
+
+
+def _classify(saw_negative: bool, saw_positive: bool) -> Verdict:
+    if saw_negative and saw_positive:
+        return Verdict.VIOLATED
+    if saw_positive:
+        return Verdict.CONSISTENT_WITH_CONVEX
+    if saw_negative:
+        return Verdict.CONSISTENT_WITH_CONCAVE
+    return Verdict.INDETERMINATE
+
+
+def reference_sampled_report(order: int, entries) -> ConvexityReport:
+    saw_negative = saw_positive = False
+    min_dd = max_dd = None
+    min_witness = max_witness = ()
+    for top, tol, pts in entries:
+        if top < -tol:
+            saw_negative = True
+        elif top > tol:
+            saw_positive = True
+        if min_dd is None or top < min_dd:
+            min_dd, min_witness = top, pts
+        if max_dd is None or top > max_dd:
+            max_dd, max_witness = top, pts
+    return ConvexityReport(
+        order=order,
+        samples_tested=len(entries),
+        min_divided_difference=min_dd,
+        witness=min_witness,
+        max_divided_difference=max_dd,
+        max_witness=max_witness,
+        verdict=_classify(saw_negative, saw_positive),
+    )
+
+
+def reference_grid_report(values, tol) -> ConvexityReport:
+    saw_negative = any(v < -tol for v, _ in values)
+    saw_positive = any(v > tol for v, _ in values)
+    min_v, min_x = min(values, key=lambda t: t[0])
+    max_v, max_x = max(values, key=lambda t: t[0])
+    return ConvexityReport(
+        order=5,
+        samples_tested=len(values),
+        min_divided_difference=min_v,
+        witness=(min_x,),
+        max_divided_difference=max_v,
+        max_witness=(max_x,),
+        verdict=_classify(saw_negative, saw_positive),
+    )

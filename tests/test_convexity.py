@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quintiq.composite import partition_points
 from quintiq.convexity import (
     Verdict,
     _d6_grid,
+    _report,
     check_n_convexity,
     divided_difference,
     sixth_derivative_sign,
@@ -16,6 +19,7 @@ from quintiq.rules import IntegrandError, Interval
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, mp_context
 
 import corpus as corpus_mod
+from support import reference_grid_report, reference_sampled_report
 
 
 class TestDividedDifference:
@@ -226,3 +230,39 @@ def test_sampled_check_on_a_tape_raises_the_plain_callables_error(precision):
         errors.append((str(exc_info.value), type(exc_info.value.cause), exc_info.value.abscissa))
     assert errors[0] == errors[1]
     assert "division by zero (at x = 0)" in errors[0][0]
+
+
+# --------------------------------------------------------------------------
+# The one report builder against the two checkers' own loops
+
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_TOLERANCES = st.one_of(
+    st.sampled_from([0.0, math.inf, math.nan, 1.0]), st.floats(min_value=0.0, allow_infinity=True)
+)
+
+
+@given(st.lists(st.tuples(_VALUES, _TOLERANCES), min_size=1, max_size=12), st.integers(1, 7))
+@settings(max_examples=300, deadline=None)
+# ties: the first least and the first greatest are the witnesses
+@example([(1.0, 0.0), (-1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)], 5)
+# a nan first value is both extremes; later ones are never picked
+@example([(math.nan, 0.0), (-math.inf, 0.0), (math.inf, 0.0), (math.nan, 0.0)], 5)
+@example([(2.0, math.inf), (-2.0, math.inf)], 3)
+def test_report_matches_the_sampled_checkers_loop(pairs, order):
+    # distinct witnesses show which entry each extreme came from
+    entries = [(v, tol, (float(i), float(i) + 1.0)) for i, (v, tol) in enumerate(pairs)]
+    assert repr(_report(order, entries)) == repr(reference_sampled_report(order, entries))
+
+
+@given(st.lists(_VALUES, min_size=1, max_size=12), _TOLERANCES)
+@settings(max_examples=300, deadline=None)
+@example([0.0, -0.0, 0.0], 0.0)
+@example([math.nan, 1.0, -1.0], 0.0)
+@example([1.0, -1.0, 5.0], math.inf)
+def test_report_matches_the_grid_checkers_body(values, tol):
+    grid = [(v, float(i)) for i, v in enumerate(values)]
+    got = _report(5, [(v, tol, (x,)) for v, x in grid])
+    assert repr(got) == repr(reference_grid_report(grid, tol))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from quintiq.cli import _build_parser, main
 from quintiq.experiments import SKIP_MARKER, experiment1, experiment2
 from quintiq.scalars import DOUBLE, mp_context
 
+import corpus as corpus_mod
 from support import (
     PAPER_EXP1_CUBIC,
     PAPER_EXP1_QUINTIC,
@@ -393,6 +395,20 @@ class TestCliExitCodes:
         assert len(gap) <= 12
         assert float(gap) == pytest.approx(8.745e-15, rel=1e-3)
 
+    def test_budget_message_prints_an_mp_gap_beyond_decimals_exponent(self, capsys):
+        # the gap's decimal exponent has 400 digits
+        code = main([
+            "integrate", "--fn", "x^(1e400+1/2)", "--a", "1", "--b", "2",
+            "--precision", "mp:40", "--n-max", "3",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: no n <= 3 reached gap <= 4*eps (eps = 1e-08); "
+            "best gap 1.27934e+30102999566398119521373889472449302676819085"
+        )
+        assert err.endswith(" at n = 3\n")
+
     @pytest.mark.parametrize(
         "eps, cause",
         [
@@ -480,6 +496,17 @@ class TestCliCheck:
         code = main(["check", "--fn", "x", "--a", a, "--b", b, "--output", "json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["sampled"]["verdict"] == "indeterminate"
+
+    def test_witnesses_of_a_narrow_interval_print_in_full(self, capsys):
+        # rounded to 6 decimals every point of a tuple would print as 0.0
+        argv = ["check", "--fn", "x", "--a", "0", "--b", "1e-300"]
+        assert main(argv) == 0
+        human = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--output", "json"]) == 0
+        sampled = json.loads(capsys.readouterr().out)["sampled"]
+        assert human[1] == f"  min 0 at {tuple(sampled['witness'])!r}"
+        assert human[2] == f"  max 0 at {tuple(sampled['max_witness'])!r}"
+        assert human[1].startswith("  min 0 at (0.0, 9.523809523809524e-303, ")
 
     def test_verify_convexity_beyond_the_roundoff_range_keeps_the_integral(self, capsys):
         code = main([
@@ -609,6 +636,20 @@ def test_cli_stdout_is_golden(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == GOLDEN_STDOUT[argv]
     assert captured.err == ""
+
+
+def test_check_json_of_the_corpus_is_pinned(capsys, monkeypatch):
+    # sha256 over check --output json of every corpus function in each backend
+    monkeypatch.delenv("QUINTIQ_PRECISION", raising=False)
+    h = hashlib.sha256()
+    for precision in ("double", "dd", "mp:30"):
+        for fn in corpus_mod.CORPUS:
+            assert main([
+                "check", f"--fn={fn.text}", f"--a={fn.a}", f"--b={fn.b}",
+                "--precision", precision, "--output", "json",
+            ]) == 0
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == "db9b1db73f9841d44a37636568b84f2131b52b9db2739bec0cd76f7d4c8a56d0"
 
 
 def test_one_process_answers_as_fresh_interpreters(capsys, monkeypatch):

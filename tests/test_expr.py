@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -580,6 +581,44 @@ def test_values_raise_for_the_first_abscissa_not_the_first_instruction(precision
     outcome = _list_outcome(lambda: f.values(xs))
     assert outcome == ("DomainError", "division by zero", _bits(ctx.const(1.0)))
     assert outcome == _list_outcome(lambda: [f(x) for x in xs])
+
+
+@pytest.mark.parametrize("precision", sorted(_CONTEXTS))
+@pytest.mark.parametrize(
+    "text, at, message, mp_holds",
+    [
+        ("1/x", 0.0, "division by zero", False),
+        ("x^-2", 0.0, "zero raised to a negative power", False),
+        ("x^-2", 1e-200, "power overflow", True),
+        ("ln(x)", 0.0, "ln of a non-positive argument", False),
+        ("ln(x)", -1.0, "ln of a non-positive argument", False),
+        ("exp(x)", 720.0, "exp overflow", True),
+        ("x^(1/2)", -1.0, "fractional power of a negative base", False),
+        ("x^(-1/2)", 0.0, "zero raised to a negative power", False),
+        ("x^(3/2)", 1e300, "power overflow", True),
+    ],
+)
+def test_each_domain_error_at_its_boundary(precision, text, at, message, mp_holds):
+    # one entry of the domain-error table each, alone and after a good
+    # abscissa in one run; mp's exponent range holds the overflowing values
+    ctx = _CONTEXTS[precision]
+    f = as_integrand(parse(text), ctx)
+    x = ctx.const(at)
+    alone = _outcome(f, x)
+    in_a_run = _list_outcome(lambda: f.values([ctx.const(1.0), x]))
+    if precision == "mp:30" and mp_holds:
+        assert in_a_run == [_outcome(f, ctx.const(1.0)), alone]
+        assert mpmath.isfinite(f(x))
+    else:
+        assert alone == in_a_run == ("DomainError", message, _bits(x))
+
+
+def test_a_dd_divisor_with_a_zero_leading_word_is_a_domain_error():
+    # the division kernel decides: a zero leading word is a zero divisor,
+    # whatever the trailing word of a pair that is not normalized
+    f = as_integrand(parse("1/x"), DOUBLE_DOUBLE)
+    x = DoubleDouble(0.0, 1e-300)
+    assert _outcome(f, x) == ("DomainError", "division by zero", _bits(x))
 
 
 # --------------------------------------------------------------------------

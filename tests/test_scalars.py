@@ -1,6 +1,7 @@
 import hashlib
 import math
 import operator
+import random
 import struct
 from fractions import Fraction
 
@@ -205,6 +206,16 @@ def test_dd_ln_accuracy(v):
     ref = mpmath.log(dd_to_mpf(x))
     tol = max(abs(ref), mpmath.mpf(1)) * mpmath.mpf("1e-29")
     assert abs(dd_to_mpf(dd_ln(x)) - ref) <= tol
+
+
+def test_dd_ln_below_the_exp_range_keeps_dd_accuracy():
+    # below e^-709 the Newton step's exp(-ln x) would overflow
+    rng = random.Random(7)
+    tiny = [5e-324, 1e-323, 3e-320, 1e-310, 1.2e-308, 1.2160e-308]
+    tiny += [10 ** rng.uniform(-323.3, -307.916) for _ in range(200)]
+    for v in tiny:
+        ref = mpmath.log(mpmath.mpf(v))
+        assert abs(dd_to_mpf(dd_ln(DoubleDouble(v))) - ref) <= abs(ref) * DOUBLE_DOUBLE.eps, v
 
 
 @pytest.mark.parametrize("v", [2, 3, 5, 15, 0.5, 1e10, 1e-10])
