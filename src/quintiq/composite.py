@@ -5,7 +5,9 @@ points computed as a + k*(b-a)/n, or a + k*((b-a)/n) where k*(b-a)
 overflows (no cumulative stepping, and the last point is pinned to b),
 applies a simple rule on each piece and sums left to right.
 ``composite_pair`` runs an interior-node rule and an endpoint-including rule
-in one pass, computing each shared endpoint value once.
+in one pass, evaluating f once at each distinct abscissa: a shared endpoint
+or a node both rules place at the same t (the midpoint of the
+Chebyshev/Simpson pair).
 
 The pass is written once for every precision context, against the
 context's list kernels (``ctx.lists`` in ``scalars``): a vector is a list
@@ -70,18 +72,19 @@ def partition_points(iv: Interval, n: int, ctx=DOUBLE) -> list:
 def composite_pair(
     f: Integrand, iv: Interval, n: int, ctx=DOUBLE, rule_pair=QUINTIC_PAIR
 ) -> CompositePair:
-    """Evaluate both composite rules of a pair with shared endpoints.
+    """Evaluate both composite rules of a pair, each abscissa once.
 
     Partition-point values feed both adjacent subintervals of the
-    endpoint-including rule, so the pair costs 6n+1 calls for Gauss/Lobatto
-    (3n interior + 2n interior + n+1 endpoints) and 5n+1 for
-    Chebyshev/Simpson.  Each rule's value sums its simple rule over the
-    subintervals left to right.
+    endpoint-including rule, and a node of both rules feeds both sums, so
+    the pair costs (d + 1)n + 1 calls for d distinct nodes per subinterval:
+    6n+1 for Gauss/Lobatto (3n interior + 2n interior + n+1 endpoints) and
+    4n+1 for Chebyshev/Simpson, whose midpoint both rules share.  Each
+    rule's value sums its simple rule over the subintervals left to right.
 
-    f is evaluated at every partition point first, then at the nodes of
-    each subinterval in turn, the open rule's before the closed rule's
-    interior ones; within a block every abscissa is evaluated before any
-    sum.
+    f is evaluated at every partition point first, then at the distinct
+    nodes of each subinterval in turn, the open rule's before the closed
+    rule's other interior ones; within a block every abscissa is evaluated
+    before any sum.
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")

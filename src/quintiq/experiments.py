@@ -3,7 +3,10 @@
 Experiment 1: subdivisions needed for the integral of 1/x over [1, 2] at
 tolerances 1e-1 .. 1e-16, for the quintic (Gauss/Lobatto) method and the
 cubic (Chebyshev/Simpson) baseline.  Experiment 2: the same comparison for
-exp over [0, b], b = 1..10, at a fixed tolerance of 1e-8.
+exp over [0, b], b = 1..10, at a fixed tolerance of 1e-8.  Each experiment
+binds its integrand's expression to the context once, as ``integrate --fn``
+does, so every composite pass evaluates it as a tape over whole blocks of
+abscissae.
 
 Rows whose threshold 4*eps sits below the decidability floor of the active
 precision are *skipped*, not computed: near the roundoff floor the measured
@@ -19,6 +22,7 @@ from typing import Optional
 
 from .adaptive import GapProbe, _search_doubling
 from .composite import CUBIC_PAIR, QUINTIC_PAIR
+from .expr import as_integrand, parse
 from .rules import Interval
 from .scalars import DOUBLE_DOUBLE
 
@@ -50,8 +54,7 @@ def _row(label: str, quintic: GapProbe, cubic: GapProbe, eps: Fraction, ctx) -> 
 
 def experiment1(ctx=DOUBLE_DOUBLE) -> list[ExperimentRow]:
     """Tolerance sweep 1e-1 .. 1e-16 for the integral of 1/x over [1, 2]."""
-    one = ctx.const(1)
-    f = lambda x: one / x
+    f = as_integrand(parse("1/x"), ctx)
     iv = Interval(ctx.const(1), ctx.const(2))
     # one probe pair for every row, so tighter rows reuse the memoized passes
     quintic = GapProbe(f, iv, ctx, QUINTIC_PAIR)
@@ -62,10 +65,11 @@ def experiment1(ctx=DOUBLE_DOUBLE) -> list[ExperimentRow]:
 def experiment2(ctx=DOUBLE_DOUBLE) -> list[ExperimentRow]:
     """Interval sweep [0, b], b = 1..10, for exp at a fixed eps = 1e-8."""
     eps = Fraction(1, 10**8)
+    f = as_integrand(parse("exp(x)"), ctx)
     rows = []
     for b in range(1, 11):
         iv = Interval(ctx.const(0), ctx.const(b))
-        quintic = GapProbe(ctx.exp, iv, ctx, QUINTIC_PAIR)
-        cubic = GapProbe(ctx.exp, iv, ctx, CUBIC_PAIR)
+        quintic = GapProbe(f, iv, ctx, QUINTIC_PAIR)
+        cubic = GapProbe(f, iv, ctx, CUBIC_PAIR)
         rows.append(_row(str(b), quintic, cubic, eps, ctx))
     return rows

@@ -15,7 +15,8 @@ binds looser than ``^``)::
 
 Numeric literals are decimal with an optional exponent and are kept as exact
 `Fraction` values, so evaluation under any precision context converts them
-at full precision.  Exponents must fold to a constant at parse time; only
+at full precision; an exponent of more than six digits is a syntax error,
+as its exact value would take seconds to build.  Exponents must fold to a constant at parse time; only
 integer exponents are differentiable.
 
 Each operator is declared once, on its node class, where the parser, the
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .scalars import DOUBLE, short_decimal
+from .scalars import DOUBLE, exact_fraction, short_decimal
 
 
 class ExprError(Exception):
@@ -301,7 +302,10 @@ class _Parser:
         tok = self.cur
         if tok.kind == "number":
             self.advance()
-            return Constant(Fraction(tok.text))
+            try:
+                return Constant(exact_fraction(tok.text))
+            except ValueError as exc:
+                raise ExprSyntaxError(str(exc), tok.span) from None
         if tok.kind == "ident":
             self.advance()
             if tok.text == "x":

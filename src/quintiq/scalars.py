@@ -372,23 +372,38 @@ def _partition(a, b, n: int) -> list:
     return xs
 
 
+def _exact(v):
+    """The exact representation of a scalar of any context, for telling
+    rule nodes apart: unlike ``==``, it keeps -0.0 and 0.0 distinct."""
+    if type(v) is DoubleDouble:
+        return v.hi.hex(), v.lo.hex()
+    if type(v) is float:
+        return v.hex()
+    return v._mpf_
+
+
 def _rule(open_points, closed_points) -> tuple:
     """(nodes, (open steps, closed steps)) of a rule pair.
 
-    nodes holds the nodes t of the open rule, then the interior nodes of
-    the closed rule: the order in which a subinterval's abscissae are
-    evaluated.  Each rule's steps are (end, w) per point, in its order: end
-    is -1 for a node, else the offset from the subinterval's left
-    partition point of an endpoint.
+    nodes holds the nodes t of the open rule, then those interior nodes of
+    the closed rule that are not already among them (by `_exact`): the
+    order in which a subinterval's abscissae are evaluated, each once.  A
+    subinterval's values are f at its left partition point, at its nodes
+    in that order and at its right partition point; each rule's steps are
+    (i, w) per point, in the rule's order, where i is the position of the
+    point's value among them.
     """
-    interior = closed_points[1:-1]
-    nodes = [t for t, _w in (*open_points, *interior)]
-    open_steps = [(-1, w) for _t, w in open_points]
-    closed_steps = [
-        (0, closed_points[0][1]),
-        *((-1, w) for _t, w in interior),
-        (1, closed_points[-1][1]),
-    ]
+    nodes = [t for t, _w in open_points]
+    seen = [_exact(t) for t in nodes]
+    closed_steps = [(0, closed_points[0][1])]
+    for t, w in closed_points[1:-1]:
+        key = _exact(t)
+        if key not in seen:
+            seen.append(key)
+            nodes.append(t)
+        closed_steps.append((seen.index(key) + 1, w))
+    closed_steps.append((len(nodes) + 1, closed_points[-1][1]))
+    open_steps = [(i, w) for i, (_t, w) in enumerate(open_points, 1)]
     return nodes, (open_steps, closed_steps)
 
 
@@ -408,22 +423,32 @@ def _abscissae(xs, k0: int, k1: int, nodes) -> tuple[list, list]:
     return hs, out
 
 
-def _sums(hs, ys, ends, k0: int, weights, totals) -> tuple:
-    """The running totals (g, l, q), None before the first subinterval,
-    after the subintervals k0, k0+1, ... of hs.
+def _rows(hs, ys, ends, k0: int) -> zip:
+    """The values of the subintervals k0, k0+1, ... of hs, one tuple per
+    subinterval in the order `_rule`'s positions name: f at its left
+    partition point, at its nodes, then at its right partition point.
 
     ys holds f at the abscissae of those subintervals, as `_abscissae`
-    orders them, and ends f at every partition point.  Each rule's value on
-    a subinterval is h times its weighted sum, taken left to right over its
-    steps, and q is (3g + l)/4.
+    orders them, and ends f at every partition point.
+    """
+    k1 = k0 + len(hs)
+    return zip(ends[k0 - 1 : k1 - 1], *[iter(ys)] * (len(ys) // len(hs)), ends[k0:k1])
+
+
+def _sums(hs, ys, ends, k0: int, weights, totals) -> tuple:
+    """The running totals (g, l, q), None before the first subinterval,
+    after the subintervals k0, k0+1, ... of hs, whose values `_rows` reads
+    from ys and ends.
+
+    Each rule's value on a subinterval is h times its weighted sum, taken
+    left to right over its steps, and q is (3g + l)/4.
     """
     open_steps, closed_steps = weights
-    y = iter(ys).__next__
-    for k, h in enumerate(hs, k0):
+    for h, row in zip(hs, _rows(hs, ys, ends, k0)):
         for steps in (open_steps, closed_steps):
             s = None
-            for end, w in steps:
-                term = w * (y() if end < 0 else ends[k - 1 + end])
+            for i, w in steps:
+                term = w * row[i]
                 s = term if s is None else s + term
             if steps is open_steps:
                 g_k = h * s
@@ -626,7 +651,7 @@ def _dd_rule(open_points, closed_points) -> tuple:
         return v.hi, v.lo, *_split(v.hi)
 
     nodes, steps = _rule(open_points, closed_points)
-    return [words(t) for t in nodes], tuple([(end, *words(w)) for end, w in s] for s in steps)
+    return [words(t) for t in nodes], tuple([(i, *words(w)) for i, w in s] for s in steps)
 
 
 def _dd_abscissae(xs, k0: int, k1: int, nodes) -> tuple[list, tuple]:
@@ -698,25 +723,22 @@ def _dd_call(call, f, u, subintervals) -> tuple[list, list]:
 
 
 def _dd_sums(hs, ys, ends, k0: int, weights, totals) -> tuple:
-    """_sums on words.  A value with no lo word gets its product with the
-    weight from the operator, which coerces it or raises."""
+    """_sums on words, over the rows of the hi words and of the lo words.  A
+    value with no lo word gets its product with the weight from the
+    operator, which coerces it or raises."""
     open_steps, closed_steps = weights
-    eh, el = ends
-    next_value = zip(*ys).__next__
+    rows_hi = _rows(hs, ys[0], ends[0], k0)
+    rows_lo = _rows(hs, ys[1], ends[1], k0)
     first = totals is None
     if not first:
         gt, lt, qt = totals
         gt_hi, gt_lo, lt_hi, lt_lo, qt_hi, qt_lo = gt.hi, gt.lo, lt.hi, lt.lo, qt.hi, qt.lo
-    for k, (hhi, hlo, hh, hl) in enumerate(hs, k0):
+    for (hhi, hlo, hh, hl), row_hi, row_lo in zip(hs, rows_hi, rows_lo):
         for steps in (open_steps, closed_steps):
             shi = None
-            for end, w_hi, w_lo, w_h, w_l in steps:
-                if end < 0:
-                    yhi, ylo = next_value()
-                else:
-                    i = k - 1 + end
-                    yhi = eh[i]
-                    ylo = el[i]
+            for i, w_hi, w_lo, w_h, w_l in steps:
+                yhi = row_hi[i]
+                ylo = row_lo[i]
                 if ylo is not None:
                     # w.__mul__(y)
                     p = w_hi * yhi
@@ -907,14 +929,36 @@ def dd_ln(x: DoubleDouble) -> DoubleDouble:
     if x.hi <= 0.0:
         raise ValueError("logarithm of a non-positive double-double")
     y0 = math.log(x.hi)
-    if y0 < -709.0:
-        # exp(-y0) would overflow: ln(x) = ln(x * 2^k) - k*ln2, with x * 2^k
-        # in [0.5, 1) and the scaling exact
+    if y0 < -660.0:
+        # exp(-y0) would overflow below e^-709, and above it the Newton
+        # step's product x * exp(-y0) loses its cross terms below the
+        # subnormal range: ln(x) = ln(x * 2^k) - k*ln2, with x * 2^k in
+        # [0.5, 1) and the scaling exact
         k = -math.frexp(x.hi)[1]
         return dd_ln(DoubleDouble(ldexp(x.hi, k), ldexp(x.lo, k))) - k * _DD_LN2
     # one Newton step on exp(y) = x; the double seed leaves O(eps^2) error
     e = dd_exp(DoubleDouble(-y0))
     return DoubleDouble(y0) + x * e - 1
+
+
+#: Most digits a decimal exponent in number text may have.  The exact value
+#: of 1e9999999 is a ten-million-digit integer, which takes seconds to build,
+#: and each further digit multiplies that.
+_EXPONENT_DIGITS = 6
+
+
+def exact_fraction(v) -> Fraction:
+    """Fraction(v) of an int, a Fraction or number text; raises ValueError
+    for text whose decimal exponent has more than `_EXPONENT_DIGITS` digits,
+    before building its value."""
+    if isinstance(v, str):
+        exponent = v.lower().partition("e")[2]
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) > _EXPONENT_DIGITS:
+            raise ValueError(
+                f"the exponent of {v.strip()} has more than {_EXPONENT_DIGITS} digits"
+            )
+    return Fraction(v)
 
 
 class DoubleContext:
@@ -930,7 +974,7 @@ class DoubleContext:
         if isinstance(v, int):
             return float(v)
         if isinstance(v, (str, Fraction)):
-            fr = Fraction(v)
+            fr = exact_fraction(v)
             return fr.numerator / fr.denominator
         if isinstance(v, DoubleDouble):
             return float(v)
@@ -964,7 +1008,7 @@ class DoubleDoubleContext:
         if isinstance(v, float):
             return DoubleDouble(v)
         if isinstance(v, (int, str, Fraction)):
-            fr = Fraction(v)
+            fr = exact_fraction(v)
             if fr.denominator == 1 and abs(fr.numerator) < 2**53:
                 return DoubleDouble(float(fr.numerator))
             return DoubleDouble.from_fraction(fr)
@@ -1010,7 +1054,7 @@ class MPFloatContext:
         if isinstance(v, (int, float)):
             return mp.mpf(v)
         if isinstance(v, (str, Fraction)):
-            fr = Fraction(v)
+            fr = exact_fraction(v)
             return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
         if isinstance(v, DoubleDouble):
             return mp.mpf(v.hi) + mp.mpf(v.lo)

@@ -18,6 +18,7 @@ verdict function, are the references for the one report builder.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -302,10 +303,20 @@ def composite_rule(rule_id, f, iv: Interval, n: int, ctx=DOUBLE):
     return total
 
 
+def _node_key(t):
+    """A rule node's bit pattern, so that -0.0 and 0.0 are distinct nodes."""
+    if isinstance(t, DoubleDouble):
+        return struct.pack("<dd", t.hi, t.lo)
+    if isinstance(t, float):
+        return struct.pack("<d", t)
+    return t._mpf_
+
+
 def _pair_ops(f, iv, n, ctx, open_points, closed_points) -> tuple:
     """(g_n, l_n, q_n) of a pass through the context's scalar operators,
     calling f at every partition point, then at the nodes of each
-    subinterval as its sums need them."""
+    subinterval as its sums first need them: a closed-rule node with the
+    bits of an open-rule node takes that node's value."""
     w_first = closed_points[0][1]
     w_last = closed_points[-1][1]
     closed_interior = closed_points[1:-1]
@@ -318,16 +329,23 @@ def _pair_ops(f, iv, n, ctx, open_points, closed_points) -> tuple:
         a_k, b_k = xs[k - 1], xs[k]
         h = (b_k - a_k) / 2
         m = (a_k + b_k) / 2
+        node_values = {}
+
+        def value(node):
+            key = _node_key(node)
+            if key not in node_values:
+                node_values[key] = call_integrand(f, m + h * node, k)
+            return node_values[key]
 
         g_sum = None
         for node, weight in open_points:
-            term = weight * call_integrand(f, m + h * node, k)
+            term = weight * value(node)
             g_sum = term if g_sum is None else g_sum + term
         g_k = h * g_sum
 
         l_sum = w_first * end_values[k - 1]
         for node, weight in closed_interior:
-            l_sum = l_sum + weight * call_integrand(f, m + h * node, k)
+            l_sum = l_sum + weight * value(node)
         l_sum = l_sum + w_last * end_values[k]
         l_k = h * l_sum
 

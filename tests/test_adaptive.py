@@ -272,7 +272,7 @@ class TestSearchSafeguards:
 
 def _pass_calls(rule_pair, n):
     """Integrand calls of one composite pass at n."""
-    return (6 if rule_pair is QUINTIC_PAIR else 5) * n + 1
+    return (6 if rule_pair is QUINTIC_PAIR else 4) * n + 1
 
 
 class TestSearchCost:

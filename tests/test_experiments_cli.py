@@ -10,6 +10,7 @@ import time
 import mpmath
 import pytest
 
+from quintiq import composite
 from quintiq.cli import _build_parser, main
 from quintiq.experiments import SKIP_MARKER, experiment1, experiment2
 from quintiq.scalars import DOUBLE, mp_context
@@ -80,6 +81,16 @@ class TestExperimentTables:
         rows = experiment2(DOUBLE)
         assert [r.n_quintic for r in rows] == PAPER_EXP2_QUINTIC
         assert [r.n_cubic for r in rows] == PAPER_EXP2_CUBIC
+
+    def test_the_tables_run_their_integrands_as_bound_tapes(self, monkeypatch):
+        # an opaque integrand would be called through call_integrand
+        calls = []
+        monkeypatch.setattr(
+            composite, "call_integrand", lambda f, x, k=None: calls.append(x) or f(x)
+        )
+        assert [r.n_cubic for r in experiment1(DOUBLE)[:13]] == PAPER_EXP1_CUBIC[:13]
+        assert [r.n_cubic for r in experiment2(DOUBLE)] == PAPER_EXP2_CUBIC
+        assert calls == []
 
     def test_experiment_tables_mp40_match_paper(self):
         ctx = mp_context(40)
@@ -423,6 +434,31 @@ class TestCliExitCodes:
         assert r.stderr.startswith(f"error: invalid tolerance --eps={eps}: ")
         assert cause in r.stderr
         assert len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args, code, line",
+        [
+            (("--fn", "x+1e9999999"), 1,
+             "error: the exponent of 1e9999999 has more than 6 digits (at bytes 2..11)"),
+            (("--fn", "x", "--eps", "1e-9999999"), 2,
+             "error: invalid tolerance --eps=1e-9999999: "
+             "the exponent of 1e-9999999 has more than 6 digits"),
+            (("--fn", "x", "--a", "-1e9999999"), 2,
+             "error: invalid interval endpoint: "
+             "the exponent of -1e9999999 has more than 6 digits"),
+            (("--fn", "x", "--b", "1e+0012345678"), 2,
+             "error: invalid interval endpoint: "
+             "the exponent of 1e+0012345678 has more than 6 digits"),
+        ],
+        ids=["fn", "eps", "a", "b"],
+    )
+    def test_a_seven_digit_exponent_is_refused_at_once(self, args, code, line, capsys):
+        argv = {"--a": "1", "--b": "2"}
+        argv.update(zip(args[::2], args[1::2]))
+        start = time.perf_counter()
+        got = main(["integrate", *(f"{k}={v}" for k, v in argv.items())])
+        assert time.perf_counter() - start < 1.0
+        assert (got, capsys.readouterr().err) == (code, line + "\n")
 
     @pytest.mark.parametrize("unbuffered", [True, False])
     def test_closed_stdout_is_141_without_traceback(self, unbuffered):

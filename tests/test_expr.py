@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import mpmath
@@ -63,6 +64,22 @@ class TestParsing:
         assert parse("1e-3") == Constant(Fraction(1, 1000))
         assert parse(".5") == Constant(Fraction(1, 2))
         assert parse("2.5E-1") == Constant(Fraction(1, 4))
+
+    @pytest.mark.parametrize(
+        "text, span", [("x+1e9999999", (2, 11)), ("2*1E-00012345678*x", (2, 16))]
+    )
+    def test_a_seven_digit_exponent_is_a_syntax_error_at_once(self, text, span):
+        # its exact value would be a number of millions of digits
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse(text)
+        assert time.perf_counter() - start < 1.0
+        assert (exc_info.value.span.start, exc_info.value.span.end) == span
+        assert "has more than 6 digits" in exc_info.value.message
+
+    def test_a_six_digit_exponent_still_parses(self):
+        assert parse("1e-000100") == Constant(Fraction(1, 10**100))
+        assert parse("x*1e99999") == Mul(X, Constant(Fraction(10**99999)))
 
     def test_constant_folding_is_exact(self):
         assert parse("1+2") == Constant(Fraction(3))

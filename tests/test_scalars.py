@@ -218,6 +218,18 @@ def test_dd_ln_below_the_exp_range_keeps_dd_accuracy():
         assert abs(dd_to_mpf(dd_ln(DoubleDouble(v))) - ref) <= abs(ref) * DOUBLE_DOUBLE.eps, v
 
 
+def test_dd_ln_keeps_dd_accuracy_up_to_1e_minus_300():
+    # above e^-709 the Newton step's product x * exp(-ln x) would lose its
+    # cross terms below the subnormal range
+    rng = random.Random(11)
+    lo, hi = math.log(5e-324), math.log(1e-300)
+    with mpmath.workdps(60):
+        for _ in range(3000):
+            v = math.exp(rng.uniform(lo, hi))
+            ref = mpmath.log(mpmath.mpf(v))
+            assert abs((dd_to_mpf(dd_ln(DoubleDouble(v))) - ref) / ref) <= 1e-31, v
+
+
 @pytest.mark.parametrize("v", [2, 3, 5, 15, 0.5, 1e10, 1e-10])
 def test_dd_sqrt_accuracy(v):
     x = DOUBLE_DOUBLE.const(repr(float(v)))
