@@ -33,7 +33,8 @@ tape (`as_integrand`): structurally equal subtrees share one register, and
 constants are folded exactly and converted once, when the tape is bound.
 Derivative trees repeat whole subtrees (the sixth derivative of ``1/x`` has
 36,961 nodes but 312 distinct operations), so a run performs each distinct
-operation once.  The trees themselves are never rewritten.  The tape has
+operation once; the identities of a literal 0 or 1 operand leave 91 of
+them.  The trees themselves are never rewritten.  The tape has
 one runner in every context: each instruction runs over a whole vector of
 abscissae with the context's list kernels (``ctx.lists`` in ``scalars``),
 so a value at one abscissa is a run over a one-element vector.  The kernels
@@ -354,12 +355,13 @@ def as_integrand(node: ExprNode, ctx=DOUBLE):
 
     The tree is compiled once into a value-numbered tape: one instruction
     per structurally distinct subtree, in the post-order in which a
-    recursive walk first meets it, with literal-only subtrees folded exactly
-    as `parse` folds them and every constant bound by ``ctx.const`` here.
-    Every operation is a deterministic function of its operands, so sharing
-    equal subtrees changes no value, and the first domain error raised is
-    the one a recursive walk would raise.  Reuse the callable: binding costs
-    a walk over the tree.
+    recursive walk first meets it, but none where an identity of a literal
+    0 or 1 operand decides the value (see `_Compiler`), with literal-only
+    subtrees folded exactly as `parse` folds them and every constant bound
+    by ``ctx.const`` here.  Every operation is a deterministic function of
+    its operands, so sharing equal subtrees changes no value, and the first
+    domain error raised is the one a recursive walk would raise.  Reuse the
+    callable: binding costs a walk over the tree.
 
     The tape runs over the vectors of the context's list kernels: each
     instruction applies its scalar operation element by element, and each
@@ -521,6 +523,21 @@ class _Compiler:
     `to_text` parses back to.  (A class rather than closures: a recursive
     closure is a reference cycle, which would keep every compiled tree's
     tables alive until the next full garbage collection.)
+
+    Before any folding, a node takes the register that an identity of a
+    literal 0 or 1 operand gives it, as a peephole optimiser's algebraic
+    simplification does: ``0*y = y*0 = 0``, ``1*y = y*1 = y/1 = y``,
+    ``0+y = y+0 = y-0 = y``, ``0-y = -y``, ``y^0 = 1`` and ``y^1 = y``.  An
+    operand is a literal when its register is that of the bound 0 or 1,
+    which `constant` records as it binds them; so ``x^0 + 2`` leaves the
+    literal-only ``1 + 2``, which folds to 3.  Every operand is still walked
+    and emitted, so each instruction the tree needs runs and each domain
+    error raises; nothing else is removed.  A value can differ from the
+    tree's plain evaluation only where the identity does not hold in
+    floating point: 0 times an infinite or NaN operand is 0, a zero (or a
+    dd value's zero low word) may change sign, a dd value of 2^996 or more
+    times 1 keeps its low word, an unnormalized dd operand stays
+    unnormalized, and a folded subtree is exact.
     """
 
     def __init__(self, ctx):
@@ -531,6 +548,7 @@ class _Compiler:
         self.numbers = {(Variable,): 0}  # structural key -> register
         self.exact = {}  # constant register -> its exact value, as a Constant
         self.seen = {}  # id(node) -> register; the tree is a DAG of shared objects
+        self.zero_reg = self.one_reg = None  # the registers of the bound 0 and 1
 
     def constant(self, value: Fraction) -> int:
         key = (Constant, value)
@@ -539,6 +557,10 @@ class _Compiler:
             slot = self.numbers[key] = len(self.init)
             self.init.append(self.bind(value))
             self.exact[slot] = Constant(value)
+            if value == 0:
+                self.zero_reg = slot
+            elif value == 1:
+                self.one_reg = slot
         return slot
 
     def bind(self, value: Fraction):
@@ -566,6 +588,45 @@ class _Compiler:
             self.tape.append((op, slot, a, b))
         return slot
 
+    def identity(self, kind, a: int, b):
+        """The register of ``a kind b`` where an identity of a literal 0 or 1
+        operand decides it, else None; for a Pow, b is the exponent."""
+        zero, one = self.zero_reg, self.one_reg
+        if kind is Mul:
+            if a == zero or b == zero:
+                return zero
+            if a == one:
+                return b
+            if b == one:
+                return a
+        elif kind is Add:
+            if a == zero:
+                return b
+            if b == zero:
+                return a
+        elif kind is Sub:
+            if b == zero:
+                return a
+            if a == zero:
+                return self.unary(Neg, b)
+        elif kind is Div:
+            if b == one:
+                return a
+        elif b == 1:  # Pow
+            return a
+        elif b == 0:
+            return self.constant(_ONE.value)
+        return None
+
+    def unary(self, kind, a: int) -> int:
+        """The register of ``kind(a)``: its fold where a is a constant that
+        folds, else its instruction."""
+        slot = self.fold(_mk(kind, self.exact[a])) if a in self.exact else None
+        if slot is None:
+            zero = self.zero if kind is Plus else None
+            slot = self.emit((kind, a), _UNARY_OPS[kind], a, zero)
+        return slot
+
     def walk(self, node) -> int:
         slot = self.seen.get(id(node))
         if slot is not None:
@@ -579,14 +640,16 @@ class _Compiler:
         elif kind in _BINARY_OPS:
             a = self.walk(node.left)
             b = self.walk(node.right)
-            if a in exact and b in exact:
+            slot = self.identity(kind, a, b)
+            if slot is None and a in exact and b in exact:
                 slot = self.fold(_mk(kind, exact[a], exact[b]))
             if slot is None:
                 slot = self.emit((kind, a, b), _BINARY_OPS[kind], a, b)
         elif kind is Pow:
             a = self.walk(node.base)
             k = node.exponent
-            if a in exact:
+            slot = self.identity(Pow, a, k)
+            if slot is None and a in exact:
                 slot = self.fold(_mk_pow(exact[a], k))
             if slot is None:
                 if k.denominator == 1:
@@ -595,12 +658,7 @@ class _Compiler:
                     bound = (self.bind(k), self.zero if k > 0 else None)
                     slot = self.emit((Pow, a, k), _ROOT, a, bound)
         elif kind in _UNARY_OPS:
-            a = self.walk(node.child)
-            if a in exact:
-                slot = self.fold(_mk(kind, exact[a]))
-            if slot is None:
-                zero = self.zero if kind is Plus else None
-                slot = self.emit((kind, a), _UNARY_OPS[kind], a, zero)
+            slot = self.unary(kind, self.walk(node.child))
         else:
             raise TypeError(f"not an expression node: {node!r}")
         self.seen[id(node)] = slot

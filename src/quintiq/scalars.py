@@ -546,8 +546,9 @@ def _div_lists(u, v) -> tuple[list, list]:
 
 def _pow_lists(u, n: int) -> tuple[list, list]:
     """Each element ** n for an int n, which is DoubleDouble.__pow__: binary
-    powering from 1.0 with the products of __mul__, then for a negative n
-    the reciprocal of __truediv__.  A power out of range raises
+    powering with the products of __mul__, starting from the first power
+    it needs rather than from 1.0, so ``v ** 1`` is v; then for a negative
+    n the reciprocal of __truediv__.  A power out of range raises
     OverflowError, as float ** does; zero to a negative power raises
     ZeroDivisionError.
 
@@ -556,15 +557,17 @@ def _pow_lists(u, n: int) -> tuple[list, list]:
     """
     hs = u[0]
     m = len(hs)
-    r = [1.0] * m, [0.0] * m
+    r = None
     base = u
     k = abs(n)
     while k:
         if k & 1:
-            r = _mul_lists(r, base)
+            r = base if r is None else _mul_lists(r, base)
         k >>= 1
         if k:
             base = _mul_lists(base, base)
+    if r is None:
+        return [1.0] * m, [0.0] * m
     rh = r[0]
     if n < 0:
         if 0.0 in rh:
@@ -1079,6 +1082,8 @@ DOUBLE_DOUBLE = DoubleDoubleContext()
 def short_decimal(value) -> str:
     """A scalar of any context to about 6 significant digits, for messages."""
     f = float(value)
+    if math.isinf(f) and type(value) is DoubleDouble:
+        f = value.hi  # hi + lo can round to inf at the top of the range
     if (f == 0.0 and value != 0) or (math.isinf(f) and value - value == 0):
         # a finite mp value beyond the double range: its str keeps the exponent
         try:

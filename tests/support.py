@@ -7,12 +7,13 @@ powers rationalize), and transcendental references are mpmath at 50 digits
 or frozen decimal strings derived from it.  The references -- one simple
 rule per subinterval, double-double operators composed from Dekker's
 error-free transformations, a power by binary powering through those
-operators, a recursive evaluator, a recursive differentiation, one folding
-constructor per operator and a printer with its own precedences -- are the
-plain forms that the package's fused composite pass, written-out operators,
-power kernel and tapes must reproduce bit for bit, whose trees its memoized
-differentiation must build, and which its one constructor `_mk` and its
-`to_text` must match.  The two checkers' own report loops, with their
+operators, a recursive evaluator (and one that applies the tape's
+identities of a literal 0 or 1 operand), a recursive differentiation, one
+folding constructor per operator and a printer with its own precedences --
+are the plain forms that the package's fused composite pass, written-out
+operators, power kernel and tapes must reproduce bit for bit, whose trees
+its memoized differentiation must build, and which its one constructor
+`_mk` and its `to_text` must match.  The two checkers' own report loops, with their
 verdict function, are the references for the one report builder.
 """
 from __future__ import annotations
@@ -225,16 +226,19 @@ def ref_div(x, y) -> tuple[float, float]:
 def reference_pow(base, n: int):
     """base ** n for an int n.  For a DoubleDouble, binary powering through
     its operators -- the plain form that the power kernel must reproduce
-    bitwise -- raising OverflowError where float ** would overflow; any
-    other scalar uses its own **."""
+    bitwise -- from the first power it needs, not from 1.0 -- raising
+    OverflowError where float ** would overflow; any other scalar uses its
+    own **."""
     if not isinstance(base, DoubleDouble):
         return base**n
-    result = DoubleDouble(1.0)
+    if n == 0:
+        return DoubleDouble(1.0)
+    result = None
     square = base
     k = abs(n)
     while k:
         if k & 1:
-            result = result * square
+            result = square if result is None else result * square
         square = square * square  # the last squaring is unused and may overflow
         k >>= 1
     if n < 0:
@@ -397,9 +401,21 @@ def reference_eval(node, x, ctx):
         return ctx.const(node.value)
     if isinstance(node, Variable):
         return x
+    return _apply(node, [reference_eval(kid, x, ctx) for kid in _operands(node)], x, ctx)
+
+
+def _operands(node) -> tuple:
     if isinstance(node, (Add, Sub, Mul, Div)):
-        left = reference_eval(node.left, x, ctx)
-        right = reference_eval(node.right, x, ctx)
+        return node.left, node.right
+    if isinstance(node, Pow):
+        return (node.base,)
+    return (node.child,)
+
+
+def _apply(node, operands: list, x, ctx):
+    """node's own operation on the values of its operands."""
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        left, right = operands
         if isinstance(node, Add):
             return left + right
         if isinstance(node, Sub):
@@ -409,27 +425,26 @@ def reference_eval(node, x, ctx):
         if right == 0:
             raise DomainError("division by zero", x)
         return left / right
+    [v] = operands
     if isinstance(node, Pow):
-        base = reference_eval(node.base, x, ctx)
         k = node.exponent
         if k.denominator == 1:
-            if k < 0 and base == 0:
+            if k < 0 and v == 0:
                 raise DomainError("zero raised to a negative power", x)
             try:
-                return reference_pow(base, int(k))
+                return reference_pow(v, int(k))
             except OverflowError:
                 raise DomainError("power overflow", x) from None
-        if base == 0:
+        if v == 0:
             if k > 0:
                 return ctx.const(0)
             raise DomainError("zero raised to a negative power", x)
-        if base < 0:
+        if v < 0:
             raise DomainError("fractional power of a negative base", x)
         try:
-            return ctx.exp(ctx.const(k) * ctx.ln(base))
+            return ctx.exp(ctx.const(k) * ctx.ln(v))
         except OverflowError:
             raise DomainError("power overflow", x) from None
-    v = reference_eval(node.child, x, ctx)
     if isinstance(node, Neg):
         return -v
     if isinstance(node, Exp):
@@ -442,6 +457,92 @@ def reference_eval(node, x, ctx):
             raise DomainError("ln of a non-positive argument", x)
         return ctx.ln(v)
     return ctx.const(0) if v <= 0 else v  # Plus: nan passes through
+
+
+# The tape's identities of a literal 0 or 1 operand, in plain recursive form:
+# 0*y = y*0 = 0, 1*y = y*1 = y/1 = y, 0+y = y+0 = y-0 = y, 0-y = -y,
+# y^0 = 1 and y^1 = y, where an operand is a literal when it reduces to a
+# constant.  Every operand is still evaluated, so its domain errors raise.
+
+
+def _identity(node, literals: list):
+    """What an identity makes of node, given the reduced values of its
+    operands (None where one is not a constant): a `Constant`, "left",
+    "right", "-right" (0 - y), or None where no identity applies."""
+    if isinstance(node, Pow):
+        k = node.exponent
+        return Constant(Fraction(1)) if k == 0 else "left" if k == 1 else None
+    if not isinstance(node, (Add, Sub, Mul, Div)):
+        return None
+    l, r = literals
+    if isinstance(node, Mul):
+        if l == 0 or r == 0:
+            return Constant(Fraction(0))
+        if l == 1:
+            return "right"
+        if r == 1:
+            return "left"
+    elif isinstance(node, Add):
+        if l == 0:
+            return "right"
+        if r == 0:
+            return "left"
+    elif isinstance(node, Sub):
+        if r == 0:
+            return "left"
+        if l == 0:
+            return "-right"
+    elif r == 1:
+        return "left"
+    return None
+
+
+def reduced_value(node):
+    """The exact value of node if it reduces to a constant -- a literal, an
+    identity's constant, or the exact fold of operands that reduce to
+    constants -- else None."""
+    if isinstance(node, Constant):
+        return node.value
+    if isinstance(node, Variable):
+        return None
+    literals = [reduced_value(kid) for kid in _operands(node)]
+    outcome = _identity(node, literals)
+    if isinstance(outcome, Constant):
+        return outcome.value
+    if outcome == "left":
+        return literals[0]
+    if outcome == "right":
+        return literals[1]
+    if outcome == "-right":
+        return None if literals[1] is None else -literals[1]
+    if None in literals:
+        return None
+    if isinstance(node, Pow):
+        folded = _mk_pow(Constant(literals[0]), node.exponent)
+    else:
+        folded = REFERENCE_CONSTRUCTORS[type(node)](*map(Constant, literals))
+    return folded.value if isinstance(folded, Constant) else None
+
+
+def reduced_reference_eval(node, x, ctx):
+    """reference_eval with the identities: each operand is evaluated, left
+    first, then node is its constant if it reduces to one, the operand an
+    identity leaves, or its own operation."""
+    if isinstance(node, (Constant, Variable)):
+        return reference_eval(node, x, ctx)
+    kids = _operands(node)
+    values = [reduced_reference_eval(kid, x, ctx) for kid in kids]
+    exact = reduced_value(node)
+    if exact is not None:
+        return ctx.const(exact)
+    outcome = _identity(node, [reduced_value(kid) for kid in kids])
+    if outcome == "left":
+        return values[0]
+    if outcome == "right":
+        return values[1]
+    if outcome == "-right":
+        return -values[1]
+    return _apply(node, values, x, ctx)
 
 
 # One folding constructor per operator and a printer with a precedence

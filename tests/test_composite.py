@@ -36,7 +36,7 @@ from support import (
     reference_partition,
     dd_to_mpf,
     expression_trees,
-    reference_eval,
+    reduced_reference_eval,
     rel_err,
 )
 
@@ -414,7 +414,8 @@ def _tape_and_reference_outcomes(tree, iv, n, rule_pair, ctx=DOUBLE_DOUBLE):
     calling a recursive operator evaluator once per abscissa."""
     f = as_integrand(tree, ctx)
     assert hasattr(f, "vector")
-    folded = parse(to_text(tree))  # the tape folds literal subtrees as parse does
+    # the tape folds literal subtrees as parse does, and applies the identities
+    folded = parse(to_text(tree))
     points = rule_table(rule_pair[0], ctx), rule_table(rule_pair[1], ctx)
 
     def tape():
@@ -422,7 +423,7 @@ def _tape_and_reference_outcomes(tree, iv, n, rule_pair, ctx=DOUBLE_DOUBLE):
         return pair.g_n, pair.l_n, pair.q_n
 
     def reference():
-        return _pair_ops(lambda x: reference_eval(folded, x, ctx), iv, n, ctx, *points)
+        return _pair_ops(lambda x: reduced_reference_eval(folded, x, ctx), iv, n, ctx, *points)
 
     return _pair_outcome(tape), _pair_outcome(reference)
 

@@ -224,6 +224,13 @@ class TestCliExitCodes:
         r = run_cli("integrate", "--fn", "ln(x-5)", "--a", "1", "--b", "2")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("precision", ["double", "dd", "mp:40"])
+    def test_an_operand_that_0_times_y_consumes_still_raises(self, precision, capsys):
+        code = main(["integrate", "--fn", "0*ln(x)+x", "--a", "-1", "--b", "1",
+                     "--precision", precision])
+        assert code == 2
+        assert "ln of a non-positive argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["integrate", "check"])
     @pytest.mark.parametrize(
         "fn",
@@ -247,7 +254,11 @@ class TestCliExitCodes:
         assert (r.returncode, r.stderr) == (0, "")
 
     @pytest.mark.parametrize("precision", ["double", "dd"])
-    @pytest.mark.parametrize("fn, value", [("1e400*x", "1e+400"), ("x+1e999999", "1e+999999")])
+    @pytest.mark.parametrize(
+        "fn, value",
+        # an operand that 0*y consumes still binds its constants
+        [("1e400*x", "1e+400"), ("x+1e999999", "1e+999999"), ("0*(x+1e400)", "1e+400")],
+    )
     def test_out_of_range_constant_is_2_and_named(self, fn, value, precision, capsys):
         code = main(["integrate", f"--fn={fn}", "--a", "1", "--b", "2", "--precision", precision])
         assert code == 2

@@ -26,6 +26,8 @@ from quintiq.expr import (
     UnknownIdentifierError,
     Variable,
     _CHUNK,
+    _LN,
+    _NEG,
     _compile,
     _Compiler,
     _mk,
@@ -43,6 +45,8 @@ import corpus as corpus_mod
 from support import (
     REFERENCE_CONSTRUCTORS,
     expression_trees,
+    reduced_reference_eval,
+    reduced_value,
     reference_differentiate,
     reference_eval,
     reference_to_text,
@@ -370,6 +374,14 @@ def _constants_bound(node):
     return {c.value for c in compiler.exact.values()}
 
 
+def _reduced_constants(node):
+    """The exact value of each subtree that reduces to a constant under the
+    identities and exact folding."""
+    kids = [getattr(node, a) for a in ("left", "right", "child", "base") if hasattr(node, a)]
+    value = reduced_value(node)
+    return set().union({value} if value is not None else set(), *map(_reduced_constants, kids))
+
+
 def test_fold_matches_parse_and_keeps_folded_trees():
     raw = Add(Variable(), Mul(Constant(Fraction(1, 3)), Pow(Constant(Fraction(2)), Fraction(-2))))
     parsed_raw = parse(to_text(raw))
@@ -388,7 +400,10 @@ def test_fold_matches_parse_and_keeps_folded_trees():
     parsed = parse("exp(-x^2) / (1 + x) + ln(x)")
     assert _constants_bound(parsed) == _literals(parsed)
     d2 = differentiate(differentiate(parsed))
-    assert _constants_bound(d2) == _literals(d2)
+    # the identities of a literal 0 or 1 operand leave literal-only subtrees
+    # in a derivative, which fold: each bound constant is a literal of the
+    # tree, or the fold of a literal-only subtree after the identities
+    assert _literals(d2) <= _constants_bound(d2) == _reduced_constants(d2)
     # unfoldable literal subtrees are compiled as they are and fail at evaluation
     zero_div = Div(Constant(Fraction(1)), Constant(Fraction(0)))
     assert len(_compile(zero_div, DOUBLE)[1]) == 1
@@ -440,14 +455,20 @@ _CONTEXTS = {"double": DOUBLE, "dd": DOUBLE_DOUBLE, "mp:30": mp_context(30)}
 @example(parse("exp(x) - -x*ln(x)"), "mp:30", [0.5, 2.0])
 # plus(-0.0) is the bound +0.0, not the operand -0.0
 @example(parse("plus(-x)"), "double", [0.0])
+# the identities: x*0 is the bound +0.0 at x = -1, 0 - x is -x, 0 times an
+# infinite product is 0, and x^0 + 1/10 folds to the literal 11/10
+@example(parse("x*0 + (0-x)"), "double", [-1.0, 0.0])
+@example(parse("0*(((exp(exp(x))^3)^3)*((exp(exp(x))^3)^3))"), "dd", [4.0])
+@example(parse("(x^0+1/10)*3"), "double", [2.0])
 def test_tape_matches_recursive_reference_bitwise(node, precision, abscissae):
     ctx = _CONTEXTS[precision]
     f = as_integrand(node, ctx)
-    # reading the printed tree back folds its literal subtrees as parse does
+    # reading the printed tree back folds its literal subtrees as parse
+    # does; the reference applies the identities of a literal 0 or 1 operand
     folded = parse(to_text(node))
     for xv in abscissae:
         x = ctx.const(xv)
-        expected = _outcome(lambda x: reference_eval(folded, x, ctx), x)
+        expected = _outcome(lambda x: reduced_reference_eval(folded, x, ctx), x)
         assert _outcome(f, x) == expected
         assert _outcome(lambda x: evaluate(node, x, ctx), x) == expected
 
@@ -480,6 +501,182 @@ def test_sixth_derivative_of_reciprocal_compiles_small():
         for xv in ("1", "1.5", "2"):
             x = ctx.const(xv)
             assert _bits(f(x)) == _bits(reference_eval(d6, x, ctx)), (ctx.name, xv)
+
+
+# --------------------------------------------------------------------------
+# The identities of a literal 0 or 1 operand
+
+
+def _unreduced(monkeypatch):
+    """Compile without the identities from here on, as the tape did
+    before them."""
+    monkeypatch.setattr(_Compiler, "identity", lambda self, kind, a, b: None)
+
+
+def _sixth(text):
+    node = parse(text)
+    for _ in range(6):
+        node = differentiate(node)
+    return node
+
+
+@pytest.mark.parametrize("text", ["0*ln(x)", "ln(x)*0"])
+def test_zero_times_y_is_the_bound_zero(text):
+    init, tape, out = _compile(parse(text), DOUBLE)
+    assert [ins[0] for ins in tape] == [_LN]  # y still runs
+    assert init[out] == 0.0
+
+
+@pytest.mark.parametrize(
+    "text", ["1*ln(x)", "ln(x)*1", "ln(x)/1", "0+ln(x)", "ln(x)+0", "ln(x)-0", "ln(x)^1"]
+)
+def test_identities_that_leave_the_operand(text):
+    init, tape, out = _compile(parse(text), DOUBLE)
+    [(op, dst, _a, _b)] = tape
+    assert (op, dst) == (_LN, out)
+
+
+def test_zero_minus_y_is_minus_y():
+    _init, tape, out = _compile(parse("0-ln(x)"), DOUBLE)
+    [(op1, dst1, _a1, _b1), (op2, dst2, a2, _b2)] = tape
+    assert (op1, op2, a2, dst2) == (_LN, _NEG, dst1, out)
+    # and a literal y folds: 0 - 3 binds -3
+    init, tape, out = _compile(Sub(Constant(Fraction(0)), Constant(Fraction(3))), DOUBLE)
+    assert (tape, init[out]) == ((), -3.0)
+
+
+def test_y_to_the_zero_is_the_bound_one():
+    init, tape, out = _compile(parse("ln(x)^0"), DOUBLE)
+    assert [ins[0] for ins in tape] == [_LN]
+    assert init[out] == 1.0
+
+
+@pytest.mark.parametrize("precision", sorted(_CONTEXTS))
+@pytest.mark.parametrize(
+    "text, at, message",
+    [
+        ("0*ln(x)", -1.0, "ln of a non-positive argument"),
+        ("ln(x)^0", -1.0, "ln of a non-positive argument"),
+        ("ln(x)*0 + 1*ln(x)", 0.0, "ln of a non-positive argument"),
+        ("0*(1/x)", 0.0, "division by zero"),
+        ("(x^-2)^1 - 0", 0.0, "zero raised to a negative power"),
+    ],
+)
+def test_an_operand_an_identity_consumes_still_raises(precision, text, at, message):
+    ctx = _CONTEXTS[precision]
+    x = ctx.const(at)
+    assert _outcome(as_integrand(parse(text), ctx), x) == ("DomainError", message, _bits(x))
+
+
+# Where a value differs from the unreduced tape's: each case, with the value
+# of both tapes pinned.
+
+
+def test_zero_times_an_infinite_operand_is_zero_not_nan(monkeypatch):
+    node = parse("0*(x*x)")
+    for ctx in (DOUBLE, DOUBLE_DOUBLE):
+        x = ctx.const(1e200)
+        assert as_integrand(node, ctx)(x) == 0
+        assert math.isnan(float(reference_eval(node, x, ctx)))
+    _unreduced(monkeypatch)
+    assert math.isnan(as_integrand(node, DOUBLE)(1e200))
+
+
+@pytest.mark.parametrize(
+    "text, at, reduced, unreduced",
+    [("x*0", -1.0, 0.0, -0.0), ("x+0", -0.0, -0.0, 0.0), ("0-x", 0.0, -0.0, 0.0)],
+)
+def test_a_zero_result_may_change_sign(monkeypatch, text, at, reduced, unreduced):
+    node = parse(text)
+    assert as_integrand(node, DOUBLE)(at).hex() == reduced.hex()
+    assert reference_eval(node, at, DOUBLE).hex() == unreduced.hex()
+    _unreduced(monkeypatch)
+    assert as_integrand(node, DOUBLE)(at).hex() == unreduced.hex()
+
+
+def test_a_dd_value_above_2_996_times_one_keeps_its_low_word(monkeypatch):
+    # the split product of __mul__ overflows there, so x * 1 drops the low word
+    x = DoubleDouble(2.0**1000, 2.0**940)
+    node = parse("x*1")
+    assert _bits(as_integrand(node, DOUBLE_DOUBLE)(x)) == _bits(x)
+    assert _bits(reference_eval(node, x, DOUBLE_DOUBLE)) == _bits(DoubleDouble(2.0**1000))
+    _unreduced(monkeypatch)
+    assert _bits(as_integrand(node, DOUBLE_DOUBLE)(x)) == _bits(DoubleDouble(2.0**1000))
+
+
+def test_an_identity_can_leave_a_literal_subtree_that_folds_exactly(monkeypatch):
+    # x^0 + 1/10 is the literal 11/10, so (x^0 + 1/10)*3 binds 33/10; the
+    # unreduced tape rounds the sum and the product
+    node = parse("(x^0+1/10)*3")
+    init, tape, out = _compile(node, DOUBLE)
+    assert (tape, init[out]) == ((), 3.3)
+    assert reference_eval(node, 2.0, DOUBLE) == 3.3000000000000003
+    _unreduced(monkeypatch)
+    assert as_integrand(node, DOUBLE)(2.0) == 3.3000000000000003
+
+
+@pytest.mark.parametrize("text, length", [("1/x", 91), ("ln(x)", 52), ("exp(x)", 1)])
+def test_sixth_derivative_tape_lengths(text, length):
+    assert len(_compile(_sixth(text), DOUBLE)[1]) == length
+
+
+@pytest.mark.parametrize("precision", sorted(_CONTEXTS))
+def test_order_zero_tapes_are_untouched(monkeypatch, precision):
+    # the corpus integrands and the tables' 1/x and exp(x) run the
+    # instructions they ran before the identities
+    ctx = _CONTEXTS[precision]
+    texts = [fn.text for fn in corpus_mod.CORPUS] + ["1/x", "exp(x)"]
+
+    def tapes():
+        return [_pin_record((tuple(init), tape, out))
+                for init, tape, out in (_compile(parse(text), ctx) for text in texts)]
+
+    reduced = tapes()
+    _unreduced(monkeypatch)
+    assert tapes() == reduced
+
+
+_CORPUS_BY_NAME = {fn.name: fn for fn in corpus_mod.CORPUS}
+_D6_GRIDS = {}
+
+
+def _d6_grid_values(name, precision):
+    """The sixth derivative of a corpus integrand, the 1025-point grid over
+    its interval, and the values of the bound tape there."""
+    key = name, precision
+    if key not in _D6_GRIDS:
+        fn, ctx = _CORPUS_BY_NAME[name], _CONTEXTS[precision]
+        d6 = _sixth(fn.text)
+        xs = partition_points(Interval(ctx.const(fn.a), ctx.const(fn.b)), 1024, ctx)
+        _D6_GRIDS[key] = d6, xs, as_integrand(d6, ctx).values(xs)
+    return _D6_GRIDS[key]
+
+
+@given(
+    st.sampled_from(sorted(_CORPUS_BY_NAME)),
+    st.sampled_from(sorted(_CONTEXTS)),
+    st.lists(st.integers(min_value=0, max_value=1024), min_size=1, max_size=2),
+)
+@settings(max_examples=15, deadline=None)
+@example("inv_x", "double", [0, 512, 1024])
+@example("inv_x", "dd", [1, 1023])
+@example("ln", "mp:30", [0, 1024])
+def test_the_reduced_sixth_derivative_grid_matches_the_unreduced_tree_bitwise(
+    name, precision, picks
+):
+    # the unreduced tree's plain recursive value, wherever it is finite and
+    # nonzero, is the reduced tape's bit for bit, but for the sign of a dd's
+    # zero low word: -720 may be (-720.0, 0.0) where it was (-720.0, -0.0)
+    ctx = _CONTEXTS[precision]
+    d6, xs, values = _d6_grid_values(name, precision)
+
+    def bits(v):
+        return _bits(DoubleDouble(v.hi, v.lo + 0.0) if isinstance(v, DoubleDouble) else v)
+
+    for i in picks:
+        want = reference_eval(d6, xs[i], ctx)
+        if want != 0 and want - want == 0:
+            assert bits(values[i]) == bits(want), (name, precision, i)
 
 
 # --------------------------------------------------------------------------
@@ -540,7 +737,8 @@ def test_the_one_runner_matches_the_recursive_reference_bitwise(
     node, precision, length, special, seed
 ):
     # f(x), values(xs) and the vector entry are runs of one runner; each
-    # agrees with a plain recursive evaluation of the tree read back
+    # agrees with a plain recursive evaluation of the tree read back, with
+    # the identities
     ctx = _CONTEXTS[precision]
     rng = random.Random(seed)
     xs = [
@@ -551,7 +749,7 @@ def test_the_one_runner_matches_the_recursive_reference_bitwise(
     f = as_integrand(node, ctx)
     lists = ctx.lists
     folded = parse(to_text(node))
-    want = _list_outcome(lambda: [reference_eval(folded, x, ctx) for x in xs])
+    want = _list_outcome(lambda: [reduced_reference_eval(folded, x, ctx) for x in xs])
     assert _list_outcome(lambda: [f(x) for x in xs]) == want
     assert _list_outcome(lambda: f.values(xs)) == want
     assert _list_outcome(lambda: lists.scalars(f.vector(lists.vector(xs)))) == want
@@ -709,8 +907,10 @@ def _printed_and_compiled() -> str:
 
 
 def test_printed_text_and_tapes_are_pinned():
+    # the identities of a literal 0 or 1 operand moved the tapes of orders
+    # 1-6; no order-0 tape moved (test_order_zero_tapes_are_untouched)
     assert _printed_and_compiled() == (
-        "4fec8d184dd68b9949d7180cabd3cf0da6a3c88d2ce38652020edeef4e8c7687"
+        "fbca94b0f33115df6cd74e1ecc7918b0d31c8757583ed6998bac6d4a73ab4446"
     )
 
 

@@ -350,6 +350,10 @@ _POW_DOMAIN_TEXT = {
 @example(DoubleDouble(-math.inf), 3)
 @example(DoubleDouble(-math.inf), -2)
 @example(DoubleDouble(1.5, 1e-17), True)
+@example(DoubleDouble(0.0, -0.0), 1)  # x ** 1 is x, as the tape's x^1 is
+@example(DoubleDouble(2.0**1000, 2.0**940), 3)  # the first product keeps its low word
+# hi + lo rounds to inf: the overflow's message prints the leading word
+@example(DoubleDouble(1.7976931348623157e308, 9.9792015476736e291), 2)
 def test_dd_power_kernel_tape_and_reference_agree_bitwise(x, n):
     want = _pow_outcome(lambda: reference_pow(x, n))
     assert _pow_outcome(lambda: x**n) == want
