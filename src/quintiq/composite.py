@@ -13,15 +13,15 @@ The pass is written once for every precision context, against the
 context's list kernels (``ctx.lists`` in ``scalars``): a vector is a list
 of scalars in ``double`` and ``mp`` and the pair of float-word lists in
 ``dd``.  It builds the partition and evaluates f there, then runs through
-the subintervals in blocks of at most `_BATCH` abscissae, in three phases
-per block: the abscissae, f at them, then the running sums.  An integrand
-bound by ``as_integrand`` to the pass's context is evaluated by its tape's
-``vector`` entry, once per vector of abscissae; any other integrand is
-called once per abscissa through ``call_integrand``, in the order of a pass
-that calls f as it goes.  The kernels perform the operations of the
-context's scalar operators in the order of that plain pass, so every
-``CompositePair`` and every ``IntegrandError`` is equal to that pass's,
-which the tests keep as the oracle.
+the subintervals in blocks of at most ``expr._CHUNK`` (256) abscissae, in
+three phases per block: the abscissae, f at them, then the running sums.
+An integrand bound by ``as_integrand`` to the pass's context is evaluated
+by its tape's ``vector`` entry, one run per 256 abscissae at most; any
+other integrand is called once per abscissa through ``call_integrand``, in
+the order of a pass that calls f as it goes.  The kernels perform the
+operations of the context's scalar operators in the order of that plain
+pass, so every ``CompositePair`` and every ``IntegrandError`` is equal to
+that pass's, which the tests keep as the oracle.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 
+from .expr import _CHUNK
 from .rules import Integrand, Interval, RuleId, call_integrand, rule_table
 from .scalars import DOUBLE
 
@@ -38,10 +39,6 @@ QUINTIC_PAIR = (RuleId.GAUSS3, RuleId.LOBATTO4)
 CUBIC_PAIR = (RuleId.CHEBYSHEV3, RuleId.SIMPSON)
 #: Order p of each pair's stopping gap, |L_n - G_n| ~ C n^-p as n grows.
 GAP_ORDER = {QUINTIC_PAIR: 6, CUBIC_PAIR: 4}
-
-#: Abscissae of one block of the pass at most, which bounds the vectors a
-#: block holds whatever n is.
-_BATCH = 256
 
 # (rule pair, context name) -> the pair's nodes and weights in the form
 # the context's kernels take
@@ -101,7 +98,7 @@ def composite_pair(
     xs = lists.partition(ctx.const(iv.a), ctx.const(iv.b), n)
     ends = _evaluate(f, tape, lists, xs, chain((1,), range(1, n + 1)))
     totals = None
-    block = _BATCH // per
+    block = _CHUNK // per
     for k0 in range(1, n + 1, block):
         k1 = min(k0 + block, n + 1)
         hs, abscissae = lists.abscissae(xs, k0, k1, nodes)
@@ -115,7 +112,7 @@ def _evaluate(f, tape, lists, xs, subintervals):
     """f at the abscissae of the vector xs, which lie in the subintervals
     of the iterable subintervals, as a vector.
 
-    A bound tape's ``vector`` entry evaluates them in one run.  If it
+    A bound tape's ``vector`` entry evaluates them, 256 per run.  If it
     raises, or without one, f is called per abscissa through
     `call_integrand`, in order, which raises the first failure as the
     `IntegrandError` of its subinterval.

@@ -105,8 +105,8 @@ def check_n_convexity(
     Tuples are a deterministic blend: half sliding windows from an
     equispaced grid, half seeded random tuples with an enforced minimum gap
     of (b-a) * 1e-3 / samples.  A bound tape (`expr.as_integrand`) is
-    evaluated at the points of all tuples in one run of its ``values``
-    entry; any other callable is called per point.
+    evaluated at the points of all tuples by its ``values`` entry; any
+    other callable is called per point.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -140,9 +140,9 @@ def check_n_convexity(
 
 
 def _values(f, xs) -> list:
-    """f at all of xs: from one run of its ``values`` entry (a bound
-    tape's), or, where f has none or the run fails, from one call per point
-    in order, so that the first failure raises its `IntegrandError`."""
+    """f at all of xs: from its ``values`` entry (a bound tape's), or,
+    where f has none or that fails, from one call per point in order, so
+    that the first failure raises its `IntegrandError`."""
     values = getattr(f, "values", None)
     if values is not None:
         try:
@@ -180,7 +180,7 @@ def _random_tuples(a, b, m, count, seed, min_gap) -> list:
 
 def _d6_grid(f_expr, iv: Interval, grid: int, ctx) -> list:
     """(f^(6)(x), x) as floats at x = a, a + i*(b-a)/grid for 0 < i < grid, and b,
-    from one run of the bound derivative's ``values`` entry over the grid."""
+    from the bound derivative's ``values`` entry over the grid."""
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     d6 = f_expr

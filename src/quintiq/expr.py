@@ -34,12 +34,13 @@ constants are folded exactly and converted once, when the tape is bound.
 Derivative trees repeat whole subtrees (the sixth derivative of ``1/x`` has
 36,961 nodes but 312 distinct operations), so a run performs each distinct
 operation once; the identities of a literal 0 or 1 operand leave 91 of
-them.  The trees themselves are never rewritten.  The tape has
-one runner in every context: each instruction runs over a whole vector of
-abscissae with the context's list kernels (``ctx.lists`` in ``scalars``),
-so a value at one abscissa is a run over a one-element vector.  The kernels
-and scalar functions decide where an operation is undefined, by raising, and
-one table, `_UNDEFINED`, names what each instruction raises as a `DomainError`.
+them.  The trees themselves are never rewritten.  The tape has one runner
+in every context: binding gives each instruction its kernel among the
+context's list kernels (``ctx.lists`` in ``scalars``), which runs over a
+vector of at most 256 abscissae, so a value at one abscissa is a run over a
+one-element vector.  The kernels and scalar functions decide where an
+operation is undefined, by raising, and one table, `_UNDEFINED`, names what
+each instruction raises as a `DomainError`.
 
 `differentiate` differentiates each node object of its argument once, so a
 shared subtree has one shared derivative: the sixth derivative of ``1/x``
@@ -52,6 +53,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from .scalars import DOUBLE, exact_fraction, short_decimal
@@ -363,111 +365,83 @@ def as_integrand(node: ExprNode, ctx=DOUBLE):
     domain error raised is the one a recursive walk would raise.  Reuse the
     callable: binding costs a walk over the tree.
 
-    The tape runs over the vectors of the context's list kernels: each
-    instruction applies its scalar operation element by element, and each
-    register's vector is dropped after its last read.  ``f(x)`` is a run
-    over one abscissa; ``f.vector(xs)``, which a composite pass in
-    ``f.ctx`` calls, runs over a vector of them and returns the vector of
-    values; ``f.values(xs)`` takes and returns lists of scalars, with one
-    run per chunk of at most `_CHUNK`.  Each value is bitwise ``f`` at its
-    abscissa.  A run over several abscissae that meets a domain error is
-    repeated one abscissa at a time, so the error raised is the one the
-    first failing abscissa raises alone.
+    Binding also gives each instruction its list kernel (see `_bind`), so
+    a run makes one call per instruction over vectors, fills only the
+    constants an instruction reads and drops each vector once nothing
+    reads it.  A run covers at most `_CHUNK` (256) abscissae: ``f(x)`` is a
+    run over one; ``f.vector(xs)``, which a composite pass in ``f.ctx``
+    calls, and ``f.values(xs)``, on lists of scalars, run once per 256 of
+    them.  Each value is bitwise ``f`` at its abscissa.  A run over several
+    abscissae that meets a domain error is repeated one abscissa at a time,
+    so the error raised is the one the first failing abscissa raises alone.
     """
     init, tape, out = _compile(node, ctx)
-    steps = _with_last_reads(tape, out)
-    consts = [(slot, c) for slot, c in enumerate(init) if c is not None]
+    steps, consts = _bind(tape, init, out, ctx)
     size = len(init)
-    const, exp, ln = ctx.const, ctx.exp, ctx.ln
-    lists = ctx.lists
+    const, lists = ctx.const, ctx.lists
     to_vector, to_scalars, fill = lists.vector, lists.scalars, lists.fill
-    add, sub, mul, div, neg = lists.add, lists.sub, lists.mul, lists.div, lists.neg
-    power, plus, each = lists.pow, lists.plus, lists.map
 
     def run(xs):
+        # a domain error names xs's first abscissa, so block reruns xs per abscissa
         r = [None] * size
         r[0] = xs
         for slot, c in consts:
             r[slot] = fill(c, xs)
         try:
-            for op, dst, a, b, dead in steps:
-                if op == _MUL:
-                    r[dst] = mul(r[a], r[b])
-                elif op == _ADD:
-                    r[dst] = add(r[a], r[b])
-                elif op == _SUB:
-                    r[dst] = sub(r[a], r[b])
-                elif op == _POW:
-                    r[dst] = power(r[a], b)
-                elif op == _DIV:
-                    r[dst] = div(r[a], r[b])
-                elif op == _NEG:
-                    r[dst] = neg(r[a])
-                elif op == _EXP:
-                    r[dst] = each(exp, r[a])
-                elif op == _LN:
-                    r[dst] = each(ln, r[a])
-                elif op == _PLUS:
-                    r[dst] = plus(r[a], b)
-                else:
-                    r[dst] = each(lambda v: _root(v, b, exp, ln), r[a])
+            for kernel, dst, a, b, dead, op in steps:
+                r[dst] = kernel(r[a]) if b is None else kernel(r[a], r[b])
                 for k in dead:
                     r[k] = None
         except (ArithmeticError, ValueError) as exc:
             message = _UNDEFINED.get((op, type(exc)))
             if message is None:
                 raise
-            raise _Undefined(message) from None
+            raise DomainError(message, to_scalars(xs)[0]) from None
         return r[out]
 
-    def f(x):
-        x = const(x)
+    def block(u):
         try:
-            return to_scalars(run(to_vector([x])))[0]
-        except _Undefined as exc:
-            raise DomainError(str(exc), x) from None
-
-    def vector(xs):
-        try:
-            return run(xs)
+            return run(u)
         except (ArithmeticError, ValueError):
-            return to_vector([f(x) for x in to_scalars(xs)])
+            return lists.chunks(run, u, 1)
 
-    def values(xs):
-        out = []
-        for i in range(0, len(xs), _CHUNK):
-            out += to_scalars(vector(to_vector([const(x) for x in xs[i : i + _CHUNK]])))
-        return out
+    vector = partial(lists.chunks, block, m=_CHUNK)
 
+    def f(x):
+        return to_scalars(run(to_vector([const(x)])))[0]
+
+    # f's entries share the runner and none refers to f, so a bound tape is
+    # freed by reference counting when its last reference goes
     f.ctx = ctx
     f.vector = vector
-    f.values = values
+    f.values = lambda xs: to_scalars(vector(to_vector([const(x) for x in xs])))
     return f
 
 
-#: Abscissae that one run of ``values`` evaluates at most, which bounds the
+#: Abscissae that one run of a bound tape covers at most, which bounds the
 #: vectors a run holds however many abscissae it is given.
-_CHUNK = 64
+_CHUNK = 256
 
 
-class _Undefined(ArithmeticError):
-    """A run left the function's domain; ``f(x)`` raises it as the
-    `DomainError` that names x."""
+def _bind(tape, init, out, ctx) -> tuple:
+    """(steps, constants) of a compiled tape in ``ctx``.
 
-
-def _with_last_reads(tape, out) -> tuple:
-    """The tape's instructions, each extended by the registers other than
-    ``out`` that it reads for the last time."""
-    last = {}
-    for i, (op, _dst, a, b) in enumerate(tape):
-        last[a] = i
-        if op in _BINARY_CODES:
-            last[b] = i
-    dead = [[] for _ in tape]
-    for k, i in last.items():
-        if k != out:
-            dead[i].append(k)
-    return tuple((*ins, tuple(d)) for ins, d in zip(tape, dead))
+    A step is (kernel, dst, a, b, dead, opcode): the kernel takes the
+    vectors of registers a and b, or of a alone where b is None (an
+    immediate is bound into the kernel); dead holds the registers but
+    ``out`` that no later step reads, dst included.  The constants are the
+    (register, value) pairs that a step reads.
+    """
+    read = {out}  # the registers that a later step reads, and out
+    steps = []
+    for op, dst, a, b in reversed(tape):
+        binary = op in _BINARY_CODES
+        operands = {a, b} if binary else {a}
+        dead = tuple((operands | {dst}) - read)
+        read |= operands
+        steps.append((_KERNELS[op](ctx, b), dst, a, b if binary else None, dead, op))
+    consts = [(slot, c) for slot, c in enumerate(init) if c is not None and slot in read]
+    return steps[::-1], consts
 
 
 def _root(v, b, exp, ln):
@@ -488,6 +462,19 @@ _MUL, _ADD, _SUB, _POW, _DIV, _NEG, _EXP, _LN, _PLUS, _ROOT = range(10)
 _BINARY_OPS = {Mul: _MUL, Add: _ADD, Sub: _SUB, Div: _DIV}
 _BINARY_CODES = frozenset(_BINARY_OPS.values())
 _UNARY_OPS = {Neg: _NEG, Exp: _EXP, Ln: _LN, Plus: _PLUS}
+# opcode -> (context, b) -> the kernel of its instruction in that context
+_KERNELS = {
+    _MUL: lambda ctx, b: ctx.lists.mul,
+    _ADD: lambda ctx, b: ctx.lists.add,
+    _SUB: lambda ctx, b: ctx.lists.sub,
+    _DIV: lambda ctx, b: ctx.lists.div,
+    _NEG: lambda ctx, b: ctx.lists.neg,
+    _POW: lambda ctx, n: partial(ctx.lists.pow, n=n),
+    _PLUS: lambda ctx, zero: partial(ctx.lists.plus, zero=zero),
+    _EXP: lambda ctx, b: partial(ctx.lists.map, ctx.exp),
+    _LN: lambda ctx, b: partial(ctx.lists.map, ctx.ln),
+    _ROOT: lambda ctx, b: partial(ctx.lists.map, partial(_root, b=b, exp=ctx.exp, ln=ctx.ln)),
+}
 # (opcode, class of what its kernel raised) -> the DomainError's message;
 # any other exception propagates as it is.
 _UNDEFINED = {

@@ -337,6 +337,7 @@ class _ListKernels(NamedTuple):
     vector: Callable  # (scalars) -> the vector of them
     scalars: Callable  # (u) -> its elements as a list of scalars
     fill: Callable  # (c, u) -> a vector of the scalar c, as long as u
+    chunks: Callable  # (fn, u, m) -> fn of each m elements of u in turn, joined
     # the tape: each raises where the scalar operation raises
     add: Callable  # (u, v) -> u + v, element by element
     sub: Callable  # (u, v) -> u - v
@@ -467,6 +468,7 @@ _SCALAR_LISTS = _ListKernels(
     vector=lambda xs: xs,
     scalars=lambda u: u,
     fill=lambda c, u: [c] * len(u),
+    chunks=lambda fn, u, m: [y for i in range(0, len(u), m) for y in fn(u[i : i + m])],
     add=lambda u, v: list(map(operator.add, u, v)),
     sub=lambda u, v: list(map(operator.sub, u, v)),
     mul=lambda u, v: list(map(operator.mul, u, v)),
@@ -491,14 +493,13 @@ _SCALAR_LISTS = _ListKernels(
 # Dekker split that several products share is computed once.
 
 
-def _unzip(pairs) -> tuple[list, list]:
-    """The vector of an iterable of (hi, lo) results."""
-    hs, ls = tuple(zip(*pairs)) or ((), ())
-    return list(hs), list(ls)
-
-
 def _add_lists(u, v) -> tuple[list, list]:
-    return _unzip(map(_add_words, *u, *v))
+    """DoubleDouble.__add__ of each pair of elements."""
+    hs, ls = [], []
+    for hi, lo in map(_add_words, *u, *v):
+        hs.append(hi)
+        ls.append(lo)
+    return hs, ls
 
 
 def _neg_lists(u) -> tuple[list, list]:
@@ -541,7 +542,11 @@ def _div_lists(u, v) -> tuple[list, list]:
     """Raises ZeroDivisionError where DoubleDouble.__truediv__ does."""
     if 0.0 in v[0]:
         raise ZeroDivisionError("double-double division by zero")
-    return _unzip(map(_div_words, *u, *v))
+    hs, ls = [], []
+    for hi, lo in map(_div_words, *u, *v):
+        hs.append(hi)
+        ls.append(lo)
+    return hs, ls
 
 
 def _pow_lists(u, n: int) -> tuple[list, list]:
@@ -602,6 +607,15 @@ def _map_lists(fn, u) -> tuple[list, list]:
     """fn(DoubleDouble(hi, lo)), a DoubleDouble, of each element."""
     values = [fn(DoubleDouble(h, lo)) for h, lo in zip(*u)]
     return [v.hi for v in values], [v.lo for v in values]
+
+
+def _dd_chunks(fn, u, m: int) -> tuple[list, list]:
+    hs, ls = [], []
+    for i in range(0, len(u[0]), m):
+        h, lo = fn((u[0][i : i + m], u[1][i : i + m]))
+        hs += h
+        ls += lo
+    return hs, ls
 
 
 def _scale_down(hi: float, lo: float, d: float, r: float) -> tuple[float, float]:
@@ -826,6 +840,7 @@ _DD_LISTS = _ListKernels(
     vector=lambda xs: ([x.hi for x in xs], [x.lo for x in xs]),
     scalars=lambda u: list(map(DoubleDouble, *u)),
     fill=lambda c, u: ([c.hi] * len(u[0]), [c.lo] * len(u[0])),
+    chunks=_dd_chunks,
     add=_add_lists,
     sub=_sub_lists,
     mul=_mul_lists,

@@ -455,7 +455,7 @@ class TestBatchedTapePass:
     # over the batch of partition points the division by x - 1 fails first,
     # at x = 1; in pass order ln fails earlier, at x = -1
     @example(parse("1/(x-1) + ln(x)"), ("-1", "1"), QUINTIC_PAIR, 3)
-    # several node blocks, after one tape run over the 301 partition points
+    # several node blocks, after two tape runs over the 301 partition points
     @example(parse("plus(x-0.6)^7"), ("-1", "1"), CUBIC_PAIR, 300)
     @example(parse("1/(3-x)"), ("-1", "1"), QUINTIC_PAIR, 300)
     def test_batched_pass_matches_the_per_call_operator_path_bitwise(
@@ -487,6 +487,19 @@ class TestBatchedTapePass:
 
 _SCALAR_CONTEXTS = {"double": DOUBLE, "mp:30": mp_context(30)}
 _ALL_CONTEXTS = {**_SCALAR_CONTEXTS, "dd": DOUBLE_DOUBLE}
+
+
+@pytest.mark.parametrize("precision", sorted(_ALL_CONTEXTS))
+@pytest.mark.parametrize("rule_pair", [QUINTIC_PAIR, CUBIC_PAIR], ids=["quintic", "cubic"])
+def test_a_pole_at_a_partition_point_past_the_first_run_is_raised_there(precision, rule_pair):
+    # x_300 of [0, 1] at n = 400 is 0.75: the tape's second run over the
+    # 401 partition points fails
+    ctx = _ALL_CONTEXTS[precision]
+    iv = _dd_interval("0", "1", ctx)
+    got, want = _tape_and_reference_outcomes(parse("1/(x-0.75)"), iv, 400, rule_pair, ctx)
+    assert got == want
+    pole = ctx.const("0.75")
+    assert got[1:] == (DomainError, "division by zero (at x = 0.75)", _bits(pole), 300)
 
 
 def _in(ctx, iv: Interval) -> Interval:

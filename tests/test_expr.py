@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import math
 import random
 import re
 import time
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -28,6 +30,7 @@ from quintiq.expr import (
     _CHUNK,
     _LN,
     _NEG,
+    _bind,
     _compile,
     _Compiler,
     _mk,
@@ -39,7 +42,7 @@ from quintiq.expr import (
 )
 from quintiq.composite import partition_points
 from quintiq.rules import Interval
-from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, DoubleDouble, mp_context
+from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, DoubleContext, DoubleDouble, mp_context
 
 import corpus as corpus_mod
 from support import (
@@ -618,6 +621,49 @@ def test_an_identity_can_leave_a_literal_subtree_that_folds_exactly(monkeypatch)
 @pytest.mark.parametrize("text, length", [("1/x", 91), ("ln(x)", 52), ("exp(x)", 1)])
 def test_sixth_derivative_tape_lengths(text, length):
     assert len(_compile(_sixth(text), DOUBLE)[1]) == length
+
+
+def test_a_run_fills_only_the_constants_it_reads():
+    # 6 of the 9 constants of the 1/x sixth-derivative tape are literals of
+    # operands an identity consumed, so no instruction reads them
+    filled = []
+
+    class Counting(DoubleContext):
+        lists = DOUBLE.lists._replace(
+            fill=lambda c, u: filled.append(c) or DOUBLE.lists.fill(c, u)
+        )
+
+    d6 = _sixth("1/x")
+    assert sum(c is not None for c in _compile(d6, DOUBLE)[0]) == 9
+    f = as_integrand(d6, Counting())
+    assert f(1.5) == as_integrand(d6, DOUBLE)(1.5)
+    assert len(filled) == 3
+    f.values([1.5] * (_CHUNK + 1))  # two runs
+    assert len(filled) == 3 + 2 * 3
+
+
+@pytest.mark.parametrize("text, unread", [("x^7", 5), ("x^8-9/5*x^6", 6)])
+def test_a_result_that_nothing_reads_is_dropped_as_it_is_written(text, unread):
+    init, tape, out = _compile(_sixth(text), DOUBLE)
+    steps, _consts = _bind(tape, init, out, DOUBLE)
+    assert sum(dst in dead for _kernel, dst, _a, _b, dead, _op in steps) == unread
+    assert not any(out in dead for *_rest, dead, _op in steps)
+
+
+@pytest.mark.parametrize("precision", sorted(_CONTEXTS))
+def test_a_bound_tape_is_freed_without_the_cycle_collector(precision):
+    ctx = _CONTEXTS[precision]
+    f = as_integrand(parse("1/x + ln(x)"), ctx)
+    assert f.values([ctx.const(2)]) == [f(ctx.const(2))]
+    ref = weakref.ref(f)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del f
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("precision", sorted(_CONTEXTS))
