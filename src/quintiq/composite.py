@@ -9,19 +9,20 @@ in one pass, evaluating f once at each distinct abscissa: a shared endpoint
 or a node both rules place at the same t (the midpoint of the
 Chebyshev/Simpson pair).
 
-The pass is written once for every precision context, against the
-context's list kernels (``ctx.lists`` in ``scalars``): a vector is a list
-of scalars in ``double`` and ``mp`` and the pair of float-word lists in
-``dd``.  It builds the partition and evaluates f there, then runs through
-the subintervals in blocks of at most ``expr._CHUNK`` (256) abscissae, in
-three phases per block: the abscissae, f at them, then the running sums.
-An integrand bound by ``as_integrand`` to the pass's context is evaluated
-by its tape's ``vector`` entry, one run per 256 abscissae at most; any
-other integrand is called once per abscissa through ``call_integrand``, in
-the order of a pass that calls f as it goes.  The kernels perform the
-operations of the context's scalar operators in the order of that plain
-pass, so every ``CompositePair`` and every ``IntegrandError`` is equal to
-that pass's, which the tests keep as the oracle.
+The pass is written once, against a set of list kernels (``scalars``): it
+builds the partition and evaluates f there, then runs through the
+subintervals in blocks of at most ``expr._CHUNK`` (256) abscissae, in three
+phases per block: the abscissae, f at them, then the running sums.  An
+integrand bound by ``as_integrand`` to the pass's context runs on that
+context's kernels (``ctx.lists``: lists of scalars in ``double`` and
+``mp``, of float words in ``dd``), its tape's ``vector`` entry evaluating
+each block.  Every other integrand, and a bound tape whose pass raises,
+runs the operators' pass: the kernels of the scalar operators
+(``scalars._SCALAR_LISTS``), with f called once per abscissa through
+``call_integrand``, in the order of a pass that calls f as it goes.  The
+kernels perform the operators' operations in that order, so every
+``CompositePair`` and every ``IntegrandError`` is equal to that plain
+pass's, which the tests keep as the oracle.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from itertools import chain, repeat
 
 from .expr import _CHUNK
 from .rules import Integrand, Interval, RuleId, call_integrand, rule_table
-from .scalars import DOUBLE
+from .scalars import _SCALAR_LISTS, DOUBLE
 
 #: (interior-node rule, endpoint-including rule) pairs driving the two
 #: adaptive methods.
@@ -40,8 +41,8 @@ CUBIC_PAIR = (RuleId.CHEBYSHEV3, RuleId.SIMPSON)
 #: Order p of each pair's stopping gap, |L_n - G_n| ~ C n^-p as n grows.
 GAP_ORDER = {QUINTIC_PAIR: 6, CUBIC_PAIR: 4}
 
-# (rule pair, context name) -> the pair's nodes and weights in the form
-# the context's kernels take
+# (rule pair, context name, kernel set) -> the pair's nodes and weights in
+# the form that kernel set takes
 _RULES: dict = {}
 
 
@@ -62,6 +63,8 @@ def partition_points(iv: Interval, n: int, ctx=DOUBLE) -> list:
 
     x_k is a + (k*(b-a))/n, or a + k*((b-a)/n) where k*(b-a) is not finite.
     """
+    if n < 1:
+        raise ValueError(f"subdivision count must be >= 1, got {n}")
     lists = ctx.lists
     return lists.scalars(lists.partition(ctx.const(iv.a), ctx.const(iv.b), n))
 
@@ -85,44 +88,42 @@ def composite_pair(
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
-    lists = ctx.lists
-    key = (rule_pair, ctx.name)
+    if getattr(f, "ctx", None) is ctx and hasattr(f, "vector"):
+        try:
+            return _pass(lambda xs, ks: f.vector(xs), ctx.lists, iv, n, ctx, rule_pair)
+        except (ArithmeticError, ValueError):
+            # the operators' pass raises the failure that comes first in
+            # pass order, as an IntegrandError where f raised it
+            pass
+
+    def calls(xs, ks):
+        return list(map(call_integrand, repeat(f), xs, ks))
+
+    return _pass(calls, _SCALAR_LISTS, iv, n, ctx, rule_pair)
+
+
+def _pass(evaluate, lists, iv, n, ctx, rule_pair) -> CompositePair:
+    """composite_pair on the kernel set lists, with evaluate(xs, ks) giving
+    f at the abscissae of the vector xs, which lie in the subintervals of
+    the iterable ks, as a vector."""
+    key = (rule_pair, ctx.name, lists)
     rule = _RULES.get(key)
     if rule is None:
         points = rule_table(rule_pair[0], ctx), rule_table(rule_pair[1], ctx)
         rule = _RULES[key] = lists.rule(*points)
     nodes, weights = rule
     per = len(nodes)
-    tape = getattr(f, "vector", None) if getattr(f, "ctx", None) is ctx else None
 
     xs = lists.partition(ctx.const(iv.a), ctx.const(iv.b), n)
-    ends = _evaluate(f, tape, lists, xs, chain((1,), range(1, n + 1)))
+    ends = evaluate(xs, chain((1,), range(1, n + 1)))
     totals = None
     block = _CHUNK // per
     for k0 in range(1, n + 1, block):
         k1 = min(k0 + block, n + 1)
         hs, abscissae = lists.abscissae(xs, k0, k1, nodes)
         ks = chain.from_iterable(repeat(k, per) for k in range(k0, k1))
-        ys = _evaluate(f, tape, lists, abscissae, ks)
-        totals = lists.sums(hs, ys, ends, k0, weights, totals)
+        totals = lists.sums(hs, evaluate(abscissae, ks), ends, k0, weights, totals)
     return CompositePair(*totals, n, (per + 1) * n + 1)
-
-
-def _evaluate(f, tape, lists, xs, subintervals):
-    """f at the abscissae of the vector xs, which lie in the subintervals
-    of the iterable subintervals, as a vector.
-
-    A bound tape's ``vector`` entry evaluates them, 256 per run.  If it
-    raises, or without one, f is called per abscissa through
-    `call_integrand`, in order, which raises the first failure as the
-    `IntegrandError` of its subinterval.
-    """
-    if tape is not None:
-        try:
-            return tape(xs)
-        except (ArithmeticError, ValueError):
-            pass
-    return lists.call(call_integrand, f, xs, subintervals)
 
 
 _BOUND_DENOMINATOR = {RuleId.GAUSS3: 2016000, RuleId.LOBATTO4: 1512000}

@@ -217,5 +217,7 @@ class M6Estimate:
 
 def estimate_m6(f_expr, iv: Interval, ctx=DOUBLE, sample_points: int = 1025) -> M6Estimate:
     """Estimate sup |f''''''| by sampling the symbolic sixth derivative."""
+    if sample_points < 2:
+        raise ValueError(f"sample_points must be >= 2, got {sample_points}")
     values = _d6_grid(f_expr, iv, sample_points - 1, ctx)
     return M6Estimate(max(abs(v) for v, _ in values), sample_points)

@@ -17,8 +17,10 @@ Available contexts:
 Each context also has one private set of list kernels, ``ctx.lists``, over
 vectors of its own kind: a list of scalars in ``double`` and ``mp``, the
 pair of lists of (hi, lo) float words in ``dd``.  The expression tape and
-the composite pass are each written once against them.  This module is the
-only one with double-double word arithmetic.
+the composite pass are each written once against them; in ``dd`` the
+composite pass of an integrand that is not a bound tape runs on the
+operators' kernels over ``DoubleDouble`` scalars.  This module is the only
+one with double-double word arithmetic.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ import math
 import operator
 from decimal import Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
-from itertools import repeat
 from math import ldexp
 from typing import Callable, NamedTuple
 
@@ -328,7 +329,8 @@ class DoubleDouble:
 # expression tape runs on the first group of kernels and the composite pass
 # on the second, so both are written once for every context.  Per element
 # each kernel performs the operations of the scalar code it stands in for,
-# in the same order, so each result is bitwise equal to that code's.
+# in the same order, so each result is bitwise equal to that code's.  The
+# dd word kernels take only words that a dd tape produced.
 
 
 class _ListKernels(NamedTuple):
@@ -351,7 +353,6 @@ class _ListKernels(NamedTuple):
     partition: Callable  # (a, b, n) -> x_0..x_n of [a, b]
     rule: Callable  # (open points, closed points) -> (nodes, weights)
     abscissae: Callable  # (xs, k0, k1, nodes) -> (h, m + h*t), see `_abscissae`
-    call: Callable  # (call, f, u, subintervals) -> call(f, x, k) of each
     sums: Callable  # (h, ys, ends, k0, weights, totals) -> totals
 
 
@@ -480,7 +481,6 @@ _SCALAR_LISTS = _ListKernels(
     partition=_partition,
     rule=_rule,
     abscissae=_abscissae,
-    call=lambda call, f, u, ks: list(map(call, repeat(f), u, ks)),
     sums=_sums,
 )
 
@@ -721,28 +721,8 @@ def _dd_abscissae(xs, k0: int, k1: int, nodes) -> tuple[list, tuple]:
     return hs, (vh, vl)
 
 
-def _dd_call(call, f, u, subintervals) -> tuple[list, list]:
-    """_call with the abscissae as DoubleDoubles.  A value that is not a
-    DoubleDouble is kept as its own hi word, with None for its lo word."""
-    yh = []
-    yl = []
-    put_hi = yh.append
-    put_lo = yl.append
-    for hi, lo, k in zip(*u, subintervals):
-        y = call(f, DoubleDouble(hi, lo), k)
-        if type(y) is DoubleDouble:
-            put_hi(y.hi)
-            put_lo(y.lo)
-        else:
-            put_hi(y)
-            put_lo(None)
-    return yh, yl
-
-
 def _dd_sums(hs, ys, ends, k0: int, weights, totals) -> tuple:
-    """_sums on words, over the rows of the hi words and of the lo words.  A
-    value with no lo word gets its product with the weight from the
-    operator, which coerces it or raises."""
+    """_sums on words, over the rows of the hi words and of the lo words."""
     open_steps, closed_steps = weights
     rows_hi = _rows(hs, ys[0], ends[0], k0)
     rows_lo = _rows(hs, ys[1], ends[1], k0)
@@ -756,23 +736,18 @@ def _dd_sums(hs, ys, ends, k0: int, weights, totals) -> tuple:
             for i, w_hi, w_lo, w_h, w_l in steps:
                 yhi = row_hi[i]
                 ylo = row_lo[i]
-                if ylo is not None:
-                    # w.__mul__(y)
-                    p = w_hi * yhi
-                    c = _SPLITTER * yhi
-                    bh = c - (c - yhi)
-                    bl = yhi - bh
-                    e = ((w_h * bh - p) + w_h * bl + w_l * bh) + w_l * bl
-                    e += w_hi * ylo + w_lo * yhi
-                    bhi = p + e
-                    blo = e - (bhi - p)
-                    if blo != blo:
-                        bhi = p
-                        blo = 0.0
-                else:
-                    y = DoubleDouble(w_hi, w_lo) * yhi
-                    bhi = y.hi
-                    blo = y.lo
+                # w.__mul__(y)
+                p = w_hi * yhi
+                c = _SPLITTER * yhi
+                bh = c - (c - yhi)
+                bl = yhi - bh
+                e = ((w_h * bh - p) + w_h * bl + w_l * bh) + w_l * bl
+                e += w_hi * ylo + w_lo * yhi
+                bhi = p + e
+                blo = e - (bhi - p)
+                if blo != blo:
+                    bhi = p
+                    blo = 0.0
                 if shi is None:
                     shi = bhi
                     slo = blo
@@ -852,7 +827,6 @@ _DD_LISTS = _ListKernels(
     partition=_dd_partition,
     rule=_dd_rule,
     abscissae=_dd_abscissae,
-    call=_dd_call,
     sums=_dd_sums,
 )
 

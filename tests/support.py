@@ -14,7 +14,9 @@ are the plain forms that the package's fused composite pass, written-out
 operators, power kernel and tapes must reproduce bit for bit, whose trees
 its memoized differentiation must build, and which its one constructor
 `_mk` and its `to_text` must match.  The two checkers' own report loops, with their
-verdict function, are the references for the one report builder.
+verdict function, are the references for the one report builder.  A
+generated family of 5-convex and 5-concave integrands with exact integrals
+is the reference for the promise that an exit-0 answer is within eps.
 """
 from __future__ import annotations
 
@@ -763,3 +765,86 @@ def reference_grid_report(values, tol) -> ConvexityReport:
         max_witness=(max_x,),
         verdict=_classify(saw_negative, saw_positive),
     )
+
+
+# A generated family of 5-convex and 5-concave integrands, each with an exact
+# reference.  A sixth derivative >= 0 survives positive combinations and the
+# addition of a polynomial of degree <= 5, so a positive combination of atoms
+# whose sixth derivative is >= 0 on [a, b], plus such a polynomial, is
+# 5-convex there, and its negation is 5-concave.  Every atom keeps the sign
+# of each even-order derivative up to its order parameter ((x-s)^k needs an
+# even k >= order, plus(x-s)^k a k >= order + 1), so the family serves any
+# even order.  Each atom has a closed-form antiderivative, so the reference
+# is exact, evaluated in mpmath at 80 digits.
+
+REFERENCE_DPS = 80
+_ENDS = [Fraction(-1), Fraction(0), Fraction(1, 4), Fraction(1)]
+_WIDTHS = [Fraction(1, 2), Fraction(1), Fraction(2)]
+_POLE_GAPS = [Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+def _mpq(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _quarters(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda i: Fraction(i, 4))
+
+
+def _atoms(a: Fraction, b: Fraction, order: int):
+    """(text, antiderivative) of atoms whose even derivatives up to order
+    are >= 0 on [a, b]; the antiderivative takes and returns mpf."""
+
+    def power(s, k):
+        return f"(x-({s}))^{k}", lambda x: (x - _mpq(s)) ** (k + 1) / (k + 1)
+
+    def truncated(s, k):
+        return f"plus(x-({s}))^{k}", lambda x: max(x - _mpq(s), 0) ** (k + 1) / (k + 1)
+
+    return st.one_of(
+        _quarters(-8, 8).filter(bool).map(
+            lambda c: (f"exp(({c})*x)", lambda x: mpmath.exp(_mpq(c) * x) / _mpq(c))
+        ),
+        st.builds(power, _quarters(-8, 16), st.sampled_from([order, order + 2])),
+        st.builds(
+            truncated,
+            st.integers(1, 7).map(lambda i: a + (b - a) * Fraction(i, 8)),
+            st.sampled_from([order + 1, order + 3]),
+        ),
+        st.sampled_from(_POLE_GAPS).map(
+            lambda d: (f"1/(({b + d})-x)", lambda x: -mpmath.ln(_mpq(b + d) - x))
+        ),
+        st.sampled_from(_POLE_GAPS).map(
+            lambda d: (f"1/(x-({a - d}))", lambda x: mpmath.ln(x - _mpq(a - d)))
+        ),
+        st.sampled_from(_POLE_GAPS).map(
+            lambda d: (
+                f"-ln(x-({a - d}))",
+                lambda x: -((x - _mpq(a - d)) * (mpmath.ln(x - _mpq(a - d)) - 1)),
+            )
+        ),
+    )
+
+
+@st.composite
+def convex_integrands(draw, order: int = 6):
+    """(text, a, b, integral, side): a positive combination of one to three
+    atoms plus a polynomial of degree < order, negated half the time, on
+    [a, b]; integral is its exact integral as an mpf of `REFERENCE_DPS`
+    digits, and side the sign (1 or -1) of its derivative of that order."""
+    a = draw(st.sampled_from(_ENDS))
+    b = a + draw(st.sampled_from(_WIDTHS))
+    terms = draw(st.lists(st.tuples(_quarters(1, 8), _atoms(a, b, order)), min_size=1, max_size=3))
+    poly = draw(st.lists(_quarters(-8, 8), max_size=order))
+    negate = draw(st.booleans())
+    text = " + ".join(
+        [f"({m})*({atom})" for m, (atom, _F) in terms]
+        + [f"({c})*x^{j}" for j, c in enumerate(poly) if c]
+    )
+    with mpmath.workdps(REFERENCE_DPS):
+        lo, hi = _mpq(a), _mpq(b)
+        integral = sum(_mpq(m) * (F(hi) - F(lo)) for m, (_atom, F) in terms)
+        integral += sum(_mpq(c) * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1) for j, c in enumerate(poly))
+        if negate:
+            return f"-({text})", a, b, -integral, -1
+    return text, a, b, integral, 1

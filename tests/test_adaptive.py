@@ -18,11 +18,12 @@ from quintiq.adaptive import (
     _search_doubling,
 )
 from quintiq.composite import CUBIC_PAIR, QUINTIC_PAIR
+from quintiq.expr import as_integrand, parse
 from quintiq.rules import Interval
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, mp_context
 
 import corpus as corpus_mod
-from support import GAP_1X_N1, GAP_1X_N4, dd_to_mpf
+from support import GAP_1X_N1, GAP_1X_N4, REFERENCE_DPS, convex_integrands, dd_to_mpf
 
 LINEAR = SearchStrategy.LINEAR_MINIMAL
 DOUBLING = SearchStrategy.DOUBLING_BISECT
@@ -368,3 +369,31 @@ class TestNonFiniteGap:
         gap = probe.gap(1)
         assert float(gap) == math.inf  # but finite in mp:40
         assert abs(gap - big / 16632) <= big * ctx.const("1e-35")
+
+
+# The promise on a generated family of 5-convex and 5-concave integrands with
+# exact integrals: every exit-0 answer is within eps.  Each backend draws eps
+# where n stays in the hundreds; an answer that the budget refuses is not
+# exit 0.  double is not among the legs: its computed gap can read 0 among
+# rounding noise, so until its answers are certified one can miss eps.
+_PROMISE_LEGS = {
+    "dd": (DOUBLE_DOUBLE, ["1e-10", "1e-13", "1e-16"]),
+    "mp:40": (mp_context(40), ["1e-10", "1e-12", "1e-14"]),
+}
+
+
+@pytest.mark.parametrize("precision", sorted(_PROMISE_LEGS))
+@given(case=convex_integrands(), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_every_exit_0_answer_of_the_family_is_within_eps(precision, case, data):
+    ctx, tolerances = _PROMISE_LEGS[precision]
+    eps = data.draw(st.sampled_from(tolerances), label="eps")
+    text, a, b, integral, _side = case
+    f = as_integrand(parse(text), ctx)
+    try:
+        r = integrate_adaptive(f, Interval(ctx.const(a), ctx.const(b)), eps, DOUBLING, 500, ctx)
+    except BudgetExceeded:
+        return
+    with mpmath.workdps(REFERENCE_DPS):
+        value = dd_to_mpf(r.value) if ctx is DOUBLE_DOUBLE else mpmath.mpf(r.value)
+        assert abs(value - integral) <= mpmath.mpf(eps), (text, a, b, r.n_final)

@@ -618,6 +618,15 @@ def test_partition_points_match_the_operator_loop_bitwise(precision, iv, n):
 
 
 @pytest.mark.parametrize("precision", sorted(_ALL_CONTEXTS))
+@pytest.mark.parametrize("n", [0, -2])
+def test_partition_points_refuse_fewer_than_one_subinterval(precision, n):
+    ctx = _ALL_CONTEXTS[precision]
+    iv = Interval(ctx.const(1), ctx.const(2))
+    with pytest.raises(ValueError, match=f"subdivision count must be >= 1, got {n}"):
+        partition_points(iv, n, ctx)
+
+
+@pytest.mark.parametrize("precision", sorted(_ALL_CONTEXTS))
 @given(dd_intervals(), st.integers(1, 40), st.sampled_from([QUINTIC_PAIR, CUBIC_PAIR]))
 @settings(max_examples=40, deadline=None)
 @example(_dd_iv(1.0, 2.0), 3, CUBIC_PAIR)
@@ -763,3 +772,8 @@ class TestM6Estimate:
     def test_exponential(self):
         est = estimate_m6(parse("exp(x)"), Interval(0.0, 2.0))
         assert est.value == pytest.approx(math.exp(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("sample_points", [1, 0])
+    def test_rejects_fewer_than_two_sample_points_by_name(self, sample_points):
+        with pytest.raises(ValueError, match=f"^sample_points must be >= 2, got {sample_points}$"):
+            estimate_m6(parse("1/x"), Interval(1.0, 2.0), sample_points=sample_points)

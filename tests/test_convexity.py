@@ -19,7 +19,7 @@ from quintiq.rules import IntegrandError, Interval
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, mp_context
 
 import corpus as corpus_mod
-from support import reference_grid_report, reference_sampled_report
+from support import convex_integrands, reference_grid_report, reference_sampled_report
 
 
 class TestDividedDifference:
@@ -178,6 +178,14 @@ class TestSixthDerivativeSign:
         report = sixth_derivative_sign(parse("plus(x-0.6)^7"), Interval(-1.0, 1.0), 512)
         assert report.verdict is Verdict.CONSISTENT_WITH_CONVEX
         assert report.max_divided_difference == pytest.approx(5040 * 0.4, rel=1e-9)
+
+    @given(convex_integrands())
+    @settings(max_examples=8, deadline=None)
+    def test_the_generated_family_has_its_side(self, case):
+        text, a, b, _integral, side = case
+        report = sixth_derivative_sign(parse(text), Interval(float(a), float(b)), 64)
+        want = Verdict.CONSISTENT_WITH_CONVEX if side > 0 else Verdict.CONSISTENT_WITH_CONCAVE
+        assert report.verdict is want, text
 
 
 # --------------------------------------------------------------------------

@@ -266,6 +266,11 @@ class TestCliExitCodes:
             f"error: the constant {value} is out of range in {precision} precision\n"
         )
 
+    def test_check_grid_below_one_is_2_and_names_the_grid(self, capsys):
+        code = main(["check", "--fn=1/x", "--a", "1", "--b", "2", "--grid", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: grid must be >= 1, got 0\n"
+
     def test_constant_beyond_the_double_range_integrates_in_mp(self, capsys):
         code = main(["integrate", "--fn=1e400*x", "--a", "1", "--b", "2", "--precision", "mp:40"])
         assert code == 0
