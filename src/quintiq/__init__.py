@@ -54,7 +54,6 @@ from .rules import (
     IntegrandError,
     Interval,
     RuleId,
-    blend_q,
     rule_table,
 )
 from .scalars import (
@@ -96,7 +95,6 @@ __all__ = [
     "Verdict",
     "apriori_bound",
     "as_integrand",
-    "blend_q",
     "check_n_convexity",
     "composite_pair",
     "differentiate",

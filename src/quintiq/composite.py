@@ -132,34 +132,41 @@ _BOUND_DENOMINATOR = {RuleId.GAUSS3: 2016000, RuleId.LOBATTO4: 1512000}
 def apriori_bound(rule_id: RuleId, iv: Interval, n: int, m6, ctx=DOUBLE):
     """Worst-case composite error (b-a)^7 / (D n^6) * m6 with D = 2016000
     for the Gauss rule and 1512000 for the Lobatto rule; m6 bounds the sixth
-    derivative's sup-norm."""
+    derivative's sup-norm.  Raises ValueError for any other rule, then for an
+    m6 that is negative, infinite or NaN."""
     denom = _BOUND_DENOMINATOR.get(rule_id)
     if denom is None:
         raise ValueError(f"no sixth-order bound for {rule_id}; use GAUSS3 or LOBATTO4")
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
     m6_s = ctx.const(m6)
-    if m6_s < 0:
-        raise ValueError(f"derivative bound must be nonnegative, got {m6}")
+    if not 0 <= m6_s < math.inf:
+        raise ValueError(f"derivative bound must be finite and nonnegative, got {m6}")
     width = ctx.const(iv.b) - ctx.const(iv.a)
     return width**7 / (denom * n**6) * m6_s
 
 
 def min_n_for_bound(rule_id: RuleId, iv: Interval, m6, eps, ctx=DOUBLE) -> int:
-    """Smallest n whose a-priori bound is <= eps (sixth root, then adjust)."""
+    """Smallest n whose a-priori bound is <= eps, found by bisection.
+
+    n doubles from 1 until the bound is <= eps, then the last step is
+    bisected: about 2 log2(n) evaluations of `apriori_bound`, whose errors
+    it raises.  The n returned has bound(n) <= eps < bound(n - 1).
+    """
     eps_s = ctx.const(eps)
     if not eps_s > 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
-    if ctx.const(m6) == 0:
-        return 1
-    width = float(ctx.const(iv.b) - ctx.const(iv.a))
-    denom = _BOUND_DENOMINATOR.get(rule_id)
-    if denom is None:
-        raise ValueError(f"no sixth-order bound for {rule_id}; use GAUSS3 or LOBATTO4")
-    ratio = width**7 * float(ctx.const(m6)) / (denom * float(eps_s))
-    n = max(1, math.ceil(ratio ** (1 / 6)))
-    while n > 1 and apriori_bound(rule_id, iv, n - 1, m6, ctx) <= eps_s:
-        n -= 1
-    while apriori_bound(rule_id, iv, n, m6, ctx) > eps_s:
-        n += 1
-    return n
+
+    def meets(n):
+        return apriori_bound(rule_id, iv, n, m6, ctx) <= eps_s
+
+    low, high = 0, 1  # the bound at low, unless low is 0, exceeds eps
+    while not meets(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if meets(mid):
+            high = mid
+        else:
+            low = mid
+    return high

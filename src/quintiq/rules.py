@@ -63,21 +63,9 @@ class IntegrandError(Exception):
         self.cause = cause
 
 
-_TABLE_CACHE: dict[tuple[RuleId, str], tuple] = {}
-
-
 def rule_table(rule_id: RuleId, ctx=DOUBLE) -> tuple:
     """Canonical ((node, weight), ...) of the rule on [-1, 1], nodes
     ascending, built in the context's precision."""
-    # keyed on the name: an id() can be reused by a context of another precision
-    key = (rule_id, ctx.name)
-    points = _TABLE_CACHE.get(key)
-    if points is None:
-        points = _TABLE_CACHE[key] = _build_points(rule_id, ctx)
-    return points
-
-
-def _build_points(rule_id: RuleId, ctx) -> tuple:
     c = ctx.const
     if rule_id is RuleId.GAUSS3:
         r = ctx.sqrt(c(15)) / 5  # sqrt(3/5)
@@ -105,8 +93,3 @@ def call_integrand(f: Integrand, x, subinterval: int | None = None):
         raise
     except (ArithmeticError, ValueError) as exc:
         raise IntegrandError(x, exc, subinterval) from exc
-
-
-def blend_q(g_value, l_value):
-    """The blended rule value (3 G + L) / 4."""
-    return (3 * g_value + l_value) / 4

@@ -20,7 +20,9 @@ pair of lists of (hi, lo) float words in ``dd``.  The expression tape and
 the composite pass are each written once against them; in ``dd`` the
 composite pass of an integrand that is not a bound tape runs on the
 operators' kernels over ``DoubleDouble`` scalars.  This module is the only
-one with double-double word arithmetic.
+one with double-double word arithmetic.  An int or float becomes a
+``DoubleDouble`` only in ``DoubleDouble._coerce``, and a zero divisor is
+caught only in ``_div_words``, which every dd division runs.
 """
 from __future__ import annotations
 
@@ -67,6 +69,11 @@ def _add_words(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, f
     return hi, lo
 
 
+def _sub_words(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
+    """DoubleDouble(ahi, alo) - DoubleDouble(bhi, blo): the sum with -b."""
+    return _add_words(ahi, alo, -bhi, -blo)
+
+
 def _mul_words(a: float, alo: float, b: float, blo: float) -> tuple[float, float]:
     """DoubleDouble(a, alo) * DoubleDouble(b, blo) as words: the two-product
     of the leading words, then the cross terms."""
@@ -89,8 +96,10 @@ def _mul_words(a: float, alo: float, b: float, blo: float) -> tuple[float, float
 
 
 def _div_words(ahi: float, alo: float, d: float, dlo: float) -> tuple[float, float]:
-    """DoubleDouble(ahi, alo) / DoubleDouble(d, dlo) as words, for d nonzero:
-    the arithmetic of __truediv__, which checks d and wraps the result."""
+    """DoubleDouble(ahi, alo) / DoubleDouble(d, dlo) as words; raises
+    ZeroDivisionError for d == 0, the one zero check of every dd division."""
+    if d == 0.0:
+        raise ZeroDivisionError("double-double division by zero")
     # long division with two Newton corrections: q1 = ahi/d, then
     # r = dividend - divisor*q1, q2 = r.hi/d, r -= divisor*q2, q3 = r.hi/d.
     # The divisor is split once for both products.  Each product keeps the
@@ -165,6 +174,38 @@ def _div_words(ahi: float, alo: float, d: float, dlo: float) -> tuple[float, flo
     return hi, lo
 
 
+def _arithmetic(words):
+    """The DoubleDouble operator whose result is words(self, other), for
+    other coerced by ``_coerce``."""
+
+    def operate(self, other):
+        if type(other) is not DoubleDouble:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return DoubleDouble(*words(self.hi, self.lo, other.hi, other.lo))
+
+    return operate
+
+
+def _swapped(words):
+    """words with its operands exchanged, for a reflected operator."""
+    return lambda ahi, alo, bhi, blo: words(bhi, blo, ahi, alo)
+
+
+def _comparison(test):
+    """The DoubleDouble comparison test(self.hi, self.lo, o.hi, o.lo), for o
+    the other operand coerced by ``_coerce``."""
+
+    def compare(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return test(self.hi, self.lo, o.hi, o.lo)
+
+    return compare
+
+
 class DoubleDouble:
     """Normalized hi + lo pair with |lo| <= 0.5 ulp(hi); ~106-bit significand.
 
@@ -174,12 +215,15 @@ class DoubleDouble:
     and a sum, product or quotient that overflows is +-inf, as in double.
 
     ``+ - * /`` run straight-line code on plain floats, with no intermediate
-    DoubleDouble, in ``_add_words``, ``_mul_words`` and ``_div_words``.
-    Each one performs the float operations of its
-    textbook composition of Dekker's error-free transformations (two-sum,
-    fast two-sum, split two-product) in the same order, so its result is
-    bitwise equal to that composition's, which the tests keep as the
-    reference.  ``**`` is the list kernel ``_pow_lists`` on one element.
+    DoubleDouble, in ``_add_words``, ``_sub_words``, ``_mul_words`` and
+    ``_div_words``, which alone raises on a zero divisor.  Each one performs
+    the float operations of its textbook composition of Dekker's error-free
+    transformations (two-sum, fast two-sum, split two-product) in the same
+    order, so its result is bitwise equal to that composition's, which the
+    tests keep as the reference.  ``**`` is the list kernel ``_pow_lists``
+    on one element.  An int or float operand, on either side, becomes a
+    DoubleDouble in ``_coerce`` alone, as does every int and float that
+    ``DOUBLE_DOUBLE.const`` converts.
     """
 
     __slots__ = ("hi", "lo")
@@ -202,10 +246,10 @@ class DoubleDouble:
     def as_fraction(self) -> Fraction:
         return Fraction(self.hi) + Fraction(self.lo)
 
-    # -- arithmetic -----------------------------------------------------
-
     @staticmethod
     def _coerce(other):
+        """other as a DoubleDouble, exactly, or NotImplemented for a type
+        other than DoubleDouble, float and int."""
         if isinstance(other, DoubleDouble):
             return other
         if isinstance(other, float):  # converts exactly, nan included
@@ -217,54 +261,18 @@ class DoubleDouble:
             return DoubleDouble(f)
         return NotImplemented
 
-    def __add__(self, other):
-        if type(other) is not DoubleDouble:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return DoubleDouble(*_add_words(self.hi, self.lo, other.hi, other.lo))
+    # -- arithmetic -----------------------------------------------------
+    # a reflected + or * keeps self first, as the forward operator does
 
-    __radd__ = __add__
+    __add__ = __radd__ = _arithmetic(_add_words)
+    __sub__ = _arithmetic(_sub_words)
+    __rsub__ = _arithmetic(_swapped(_sub_words))
+    __mul__ = __rmul__ = _arithmetic(_mul_words)
+    __truediv__ = _arithmetic(_div_words)
+    __rtruediv__ = _arithmetic(_swapped(_div_words))
 
     def __neg__(self):
         return DoubleDouble(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        if type(other) is not DoubleDouble:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return DoubleDouble(*_add_words(self.hi, self.lo, -other.hi, -other.lo))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__sub__(self)
-
-    def __mul__(self, other):
-        if type(other) is not DoubleDouble:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return DoubleDouble(*_mul_words(self.hi, self.lo, other.hi, other.lo))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is not DoubleDouble:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        if other.hi == 0.0:
-            raise ZeroDivisionError("double-double division by zero")
-        return DoubleDouble(*_div_words(self.hi, self.lo, other.hi, other.lo))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__truediv__(self)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -279,35 +287,11 @@ class DoubleDouble:
     # (hi, lo) ordered lexicographically; every ordered comparison with a
     # nan word is False, as it is for float
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.hi == o.hi and self.lo == o.lo
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.hi < o.hi or (self.hi == o.hi and self.lo < o.lo)
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.hi < o.hi or (self.hi == o.hi and self.lo <= o.lo)
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.hi > o.hi or (self.hi == o.hi and self.lo > o.lo)
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.hi > o.hi or (self.hi == o.hi and self.lo >= o.lo)
+    __eq__ = _comparison(lambda hi, lo, ohi, olo: hi == ohi and lo == olo)
+    __lt__ = _comparison(lambda hi, lo, ohi, olo: hi < ohi or (hi == ohi and lo < olo))
+    __le__ = _comparison(lambda hi, lo, ohi, olo: hi < ohi or (hi == ohi and lo <= olo))
+    __gt__ = _comparison(lambda hi, lo, ohi, olo: hi > ohi or (hi == ohi and lo > olo))
+    __ge__ = _comparison(lambda hi, lo, ohi, olo: hi > ohi or (hi == ohi and lo >= olo))
 
     def __hash__(self):
         if not math.isfinite(self.hi):
@@ -493,13 +477,18 @@ _SCALAR_LISTS = _ListKernels(
 # Dekker split that several products share is computed once.
 
 
-def _add_lists(u, v) -> tuple[list, list]:
-    """DoubleDouble.__add__ of each pair of elements."""
+def _lift(words, u, v) -> tuple[list, list]:
+    """The word operation words of each pair of elements."""
     hs, ls = [], []
-    for hi, lo in map(_add_words, *u, *v):
+    for hi, lo in map(words, *u, *v):
         hs.append(hi)
         ls.append(lo)
     return hs, ls
+
+
+def _add_lists(u, v) -> tuple[list, list]:
+    """DoubleDouble.__add__ of each pair of elements."""
+    return _lift(_add_words, u, v)
 
 
 def _neg_lists(u) -> tuple[list, list]:
@@ -539,14 +528,9 @@ def _mul_lists(u, v) -> tuple[list, list]:
 
 
 def _div_lists(u, v) -> tuple[list, list]:
-    """Raises ZeroDivisionError where DoubleDouble.__truediv__ does."""
-    if 0.0 in v[0]:
-        raise ZeroDivisionError("double-double division by zero")
-    hs, ls = [], []
-    for hi, lo in map(_div_words, *u, *v):
-        hs.append(hi)
-        ls.append(lo)
-    return hs, ls
+    """DoubleDouble.__truediv__ of each pair of elements; `_div_words`
+    raises ZeroDivisionError at the first zero divisor."""
+    return _lift(_div_words, u, v)
 
 
 def _pow_lists(u, n: int) -> tuple[list, list]:
@@ -995,16 +979,12 @@ class DoubleDoubleContext:
     lists = _DD_LISTS
 
     def const(self, v) -> DoubleDouble:
-        if isinstance(v, DoubleDouble):
-            return v
-        if isinstance(v, float):
-            return DoubleDouble(v)
-        if isinstance(v, (int, str, Fraction)):
-            fr = exact_fraction(v)
-            if fr.denominator == 1 and abs(fr.numerator) < 2**53:
-                return DoubleDouble(float(fr.numerator))
-            return DoubleDouble.from_fraction(fr)
-        raise TypeError(f"cannot convert {type(v).__name__} to double-double")
+        if isinstance(v, (str, Fraction)):
+            return DoubleDouble.from_fraction(exact_fraction(v))
+        x = DoubleDouble._coerce(v)
+        if x is NotImplemented:
+            raise TypeError(f"cannot convert {type(v).__name__} to double-double")
+        return x
 
     sqrt = staticmethod(dd_sqrt)
     exp = staticmethod(dd_exp)

@@ -32,7 +32,7 @@ from quintiq.expr import (
     _ONE, _ZERO, Add, Constant, Div, DomainError, Exp, Ln, Mul, Neg, NotDifferentiable,
     Plus, Pow, Sub, Variable,
 )
-from quintiq.rules import IntegrandError, Interval, blend_q, call_integrand, rule_table
+from quintiq.rules import IntegrandError, Interval, call_integrand, rule_table
 from quintiq.scalars import DOUBLE, DoubleDouble
 
 mpmath.mp.dps = 50
@@ -307,6 +307,11 @@ def composite_rule(rule_id, f, iv: Interval, n: int, ctx=DOUBLE):
             raise IntegrandError(exc.abscissa, exc.cause, k) from exc.cause
         total = piece if total is None else total + piece
     return total
+
+
+def blend_q(g_value, l_value):
+    """The blended rule value (3 G + L) / 4."""
+    return (3 * g_value + l_value) / 4
 
 
 def _node_key(t):

@@ -14,7 +14,7 @@ import pytest
 from quintiq.adaptive import SearchStrategy, integrate_adaptive
 from quintiq.composite import composite_pair, min_n_for_bound
 from quintiq.expr import differentiate, evaluate, parse
-from quintiq.rules import Interval, RuleId, blend_q
+from quintiq.rules import Interval, RuleId
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE
 
 import corpus as corpus_mod
@@ -25,6 +25,7 @@ from support import (
     PAPER_EXP2_CUBIC,
     PAPER_EXP2_QUINTIC,
     apply_rule,
+    blend_q,
     exact_integral_poly,
 )
 

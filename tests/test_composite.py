@@ -715,6 +715,15 @@ class TestAprioriBounds:
         with pytest.raises(ValueError):
             apriori_bound(RuleId.GAUSS3, Interval(0.0, 1.0), 1, -1.0)
 
+    @pytest.mark.parametrize("m6", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_m6(self, m6):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            apriori_bound(RuleId.GAUSS3, Interval(0.0, 1.0), 1, m6)
+
+    def test_checks_the_rule_before_m6(self):
+        with pytest.raises(ValueError, match="no sixth-order bound"):
+            apriori_bound(RuleId.SIMPSON, Interval(0.0, 1.0), 1, -1.0)
+
     @pytest.mark.parametrize(
         "fn", [f for f in corpus_mod.CORPUS if f.m6 is not None], ids=lambda f: f.name
     )
@@ -761,6 +770,27 @@ class TestMinN:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             min_n_for_bound(RuleId.GAUSS3, Interval(1.0, 2.0), 720.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "m6, eps", [(720.0, 1e-300), (1e200, 1e-8)], ids=["tiny-eps", "huge-m6"]
+    )
+    @pytest.mark.parametrize("ctx", [DOUBLE, DOUBLE_DOUBLE, mp_context(40)], ids=lambda c: c.name)
+    def test_huge_n_is_where_the_bound_first_meets_eps(self, m6, eps, ctx):
+        iv = Interval(1.0, 2.0)
+        n = min_n_for_bound(RuleId.GAUSS3, iv, m6, eps, ctx)
+        eps_s = ctx.const(eps)
+        assert n > 10**30
+        assert apriori_bound(RuleId.GAUSS3, iv, n, m6, ctx) <= eps_s
+        assert apriori_bound(RuleId.GAUSS3, iv, n - 1, m6, ctx) > eps_s
+
+    @pytest.mark.parametrize("m6", [-1, math.inf, math.nan], ids=["negative", "inf", "nan"])
+    def test_rejects_a_bad_m6(self, m6):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            min_n_for_bound(RuleId.GAUSS3, Interval(1.0, 2.0), m6, 1e-8)
+
+    def test_rejects_a_rule_without_a_bound_even_for_zero_m6(self):
+        with pytest.raises(ValueError, match="no sixth-order bound"):
+            min_n_for_bound(RuleId.SIMPSON, Interval(1.0, 2.0), 0.0, 1e-8)
 
 
 class TestM6Estimate:

@@ -11,7 +11,6 @@ from quintiq.rules import (
     IntegrandError,
     Interval,
     RuleId,
-    blend_q,
     rule_table,
 )
 from quintiq.scalars import DOUBLE, DOUBLE_DOUBLE, MPFloatContext, mp_context
@@ -21,6 +20,7 @@ from support import (
     G_1X_12,
     L_1X_12,
     apply_rule,
+    blend_q,
     dd_to_mpf,
     exact_integral_poly,
     exact_rule_poly,
