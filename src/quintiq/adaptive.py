@@ -31,6 +31,10 @@ from .rules import Integrand, Interval
 from .scalars import DOUBLE, short_decimal
 
 
+#: The search budget: the largest n a search probes unless given another.
+N_MAX = 10**6
+
+
 class Method(Enum):
     QUINTIC = "quintic"  # Gauss-3 / Lobatto-4, for 5-convex or 5-concave f
     CUBIC = "cubic"  # Chebyshev-3 / Simpson, for 3-convex or 3-concave f
@@ -235,7 +239,7 @@ def integrate_adaptive(
     iv: Interval,
     eps,
     strategy: SearchStrategy = SearchStrategy.LINEAR_MINIMAL,
-    n_max: int = 10**6,
+    n_max: int = N_MAX,
     ctx=DOUBLE,
 ) -> AdaptiveResult:
     """Adaptive Gauss/Lobatto integration of a 5-convex or 5-concave f.
@@ -252,7 +256,7 @@ def integrate_adaptive_cubic(
     iv: Interval,
     eps,
     strategy: SearchStrategy = SearchStrategy.LINEAR_MINIMAL,
-    n_max: int = 10**6,
+    n_max: int = N_MAX,
     ctx=DOUBLE,
 ) -> AdaptiveResult:
     """Chebyshev/Simpson analogue of ``integrate_adaptive`` for 3-convex or

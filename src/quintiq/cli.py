@@ -26,6 +26,7 @@ from dataclasses import asdict
 
 from . import expr as expr_mod
 from .adaptive import (
+    N_MAX,
     AdaptiveResult,
     BudgetExceeded,
     SearchStrategy,
@@ -58,18 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", required=True, help="left endpoint")
         p.add_argument("--b", required=True, help="right endpoint")
 
-    def add_common(p, default_output="human"):
+    def add_common(p):
         p.add_argument("--precision", default=None, help="double, dd, or mp[:digits]")
-        p.add_argument(
-            "--output", choices=("human", "json", "csv"), default=default_output
-        )
+        p.add_argument("--output", choices=("human", "json", "csv"), default="human")
 
     p_int = sub.add_parser("integrate", help="adaptively integrate an expression")
     add_fn_args(p_int)
     p_int.add_argument("--eps", default="1e-8", help="target accuracy (default 1e-8)")
     p_int.add_argument("--method", choices=("quintic", "cubic"), default="quintic")
     p_int.add_argument("--strategy", choices=("linear", "doubling"), default="linear")
-    p_int.add_argument("--n-max", type=int, default=10**6, dest="n_max")
+    p_int.add_argument("--n-max", type=int, default=N_MAX, dest="n_max")
     p_int.add_argument(
         "--verify-convexity",
         action="store_true",
@@ -90,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("experiment2", "subdivision counts for exp on [0,b], b = 1..10, eps = 1e-8"),
     ):
         p_exp = sub.add_parser(name, help=blurb)
-        add_common(p_exp, default_output="human")
+        add_common(p_exp)
     return parser
 
 

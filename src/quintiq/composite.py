@@ -12,17 +12,15 @@ Chebyshev/Simpson pair).
 The pass is written once, against a set of list kernels (``scalars``): it
 builds the partition and evaluates f there, then runs through the
 subintervals in blocks of at most ``expr._CHUNK`` (256) abscissae, in three
-phases per block: the abscissae, f at them, then the running sums.  An
-integrand bound by ``as_integrand`` to the pass's context runs on that
-context's kernels (``ctx.lists``: lists of scalars in ``double`` and
-``mp``, of float words in ``dd``), its tape's ``vector`` entry evaluating
-each block.  Every other integrand, and a bound tape whose pass raises,
-runs the operators' pass: the kernels of the scalar operators
-(``scalars._SCALAR_LISTS``), with f called once per abscissa through
-``call_integrand``, in the order of a pass that calls f as it goes.  The
-kernels perform the operators' operations in that order, so every
-``CompositePair`` and every ``IntegrandError`` is equal to that plain
-pass's, which the tests keep as the oracle.
+phases per block: the abscissae, f at them, then the running sums.
+``_evaluation`` decides how f is evaluated, here and in ``check_n_convexity``:
+a tape bound by ``as_integrand`` to the pass's context runs each block as one
+vector on ``ctx.lists``.  Any other integrand is called once per abscissa
+through ``call_integrand``, and so, in place, is a block whose tape run
+raises: the first failure in pass order raises its ``IntegrandError``.  The
+kernels perform the scalar operators' operations in the order of a pass that
+calls f as it goes, so every ``CompositePair`` and ``IntegrandError`` equals
+that plain pass's, which the tests keep as the oracle.
 """
 from __future__ import annotations
 
@@ -84,28 +82,12 @@ def composite_pair(
     f is evaluated at every partition point first, then at the distinct
     nodes of each subinterval in turn, the open rule's before the closed
     rule's other interior ones; within a block every abscissa is evaluated
-    before any sum.
+    before any sum.  The first failure in that order raises IntegrandError
+    with its abscissa and subinterval, whether or not f is a bound tape.
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
-    if getattr(f, "ctx", None) is ctx and hasattr(f, "vector"):
-        try:
-            return _pass(lambda xs, ks: f.vector(xs), ctx.lists, iv, n, ctx, rule_pair)
-        except (ArithmeticError, ValueError):
-            # the operators' pass raises the failure that comes first in
-            # pass order, as an IntegrandError where f raised it
-            pass
-
-    def calls(xs, ks):
-        return list(map(call_integrand, repeat(f), xs, ks))
-
-    return _pass(calls, _SCALAR_LISTS, iv, n, ctx, rule_pair)
-
-
-def _pass(evaluate, lists, iv, n, ctx, rule_pair) -> CompositePair:
-    """composite_pair on the kernel set lists, with evaluate(xs, ks) giving
-    f at the abscissae of the vector xs, which lie in the subintervals of
-    the iterable ks, as a vector."""
+    lists, evaluate = _evaluation(f, ctx)
     key = (rule_pair, ctx.name, lists)
     rule = _RULES.get(key)
     if rule is None:
@@ -126,6 +108,26 @@ def _pass(evaluate, lists, iv, n, ctx, rule_pair) -> CompositePair:
     return CompositePair(*totals, n, (per + 1) * n + 1)
 
 
+def _evaluation(f: Integrand, ctx) -> tuple:
+    """(lists, evaluate): the kernel set f's values take in ctx, and
+    evaluate(xs, ks), f at the vector xs as a vector, where ks names each
+    abscissa's subinterval.  A tape bound to ctx runs on ``ctx.lists``; any
+    other f, and a tape run that raises, is called once per abscissa."""
+
+    def calls(xs, ks):
+        return list(map(call_integrand, repeat(f), xs, ks))
+
+    def tape(xs, ks):
+        try:
+            return f.vector(xs)
+        except (ArithmeticError, ValueError):
+            return ctx.lists.vector(calls(ctx.lists.scalars(xs), ks))
+
+    if getattr(f, "ctx", None) is ctx and hasattr(f, "vector"):
+        return ctx.lists, tape
+    return _SCALAR_LISTS, calls
+
+
 _BOUND_DENOMINATOR = {RuleId.GAUSS3: 2016000, RuleId.LOBATTO4: 1512000}
 
 
@@ -133,7 +135,7 @@ def apriori_bound(rule_id: RuleId, iv: Interval, n: int, m6, ctx=DOUBLE):
     """Worst-case composite error (b-a)^7 / (D n^6) * m6 with D = 2016000
     for the Gauss rule and 1512000 for the Lobatto rule; m6 bounds the sixth
     derivative's sup-norm.  Raises ValueError for any other rule, then for an
-    m6 that is negative, infinite or NaN."""
+    m6 that is negative, infinite or NaN, then for a bound beyond ctx's range."""
     denom = _BOUND_DENOMINATOR.get(rule_id)
     if denom is None:
         raise ValueError(f"no sixth-order bound for {rule_id}; use GAUSS3 or LOBATTO4")
@@ -143,7 +145,13 @@ def apriori_bound(rule_id: RuleId, iv: Interval, n: int, m6, ctx=DOUBLE):
     if not 0 <= m6_s < math.inf:
         raise ValueError(f"derivative bound must be finite and nonnegative, got {m6}")
     width = ctx.const(iv.b) - ctx.const(iv.a)
-    return width**7 / (denom * n**6) * m6_s
+    try:
+        bottom = denom * ctx.const(n) ** 6
+        if bottom < math.inf:
+            return width**7 / bottom * m6_s
+    except OverflowError:
+        pass
+    raise ValueError(f"the a-priori bound overflows {ctx.name} precision")
 
 
 def min_n_for_bound(rule_id: RuleId, iv: Interval, m6, eps, ctx=DOUBLE) -> int:

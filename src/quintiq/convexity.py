@@ -24,8 +24,8 @@ from enum import Enum
 from operator import itemgetter
 
 from . import expr as expr_mod
-from .composite import partition_points
-from .rules import Integrand, Interval, call_integrand
+from .composite import _evaluation, partition_points
+from .rules import Integrand, Interval
 from .scalars import DOUBLE
 
 
@@ -104,9 +104,9 @@ def check_n_convexity(
 
     Tuples are a deterministic blend: half sliding windows from an
     equispaced grid, half seeded random tuples with an enforced minimum gap
-    of (b-a) * 1e-3 / samples.  A bound tape (`expr.as_integrand`) is
-    evaluated at the points of all tuples by its ``values`` entry; any
-    other callable is called per point.
+    of (b-a) * 1e-3 / samples.  f is evaluated at all their points as a
+    composite pass evaluates it (`composite._evaluation`), and the first
+    failure in order raises its `IntegrandError` with no subinterval.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -122,7 +122,8 @@ def check_n_convexity(
         )
 
     abscissae = [ctx.const(p) for pts in tuples for p in pts]
-    values = _values(f, abscissae)
+    lists, evaluate = _evaluation(f, ctx)
+    values = lists.scalars(evaluate(lists.vector(abscissae), [None] * len(abscissae)))
     entries = []
     for j, pts in enumerate(tuples):
         xs = abscissae[j * m : (j + 1) * m]
@@ -137,19 +138,6 @@ def check_n_convexity(
         tol = 64.0 * ctx.eps * scale / power if power else math.inf
         entries.append((top, tol, pts))
     return _report(order, entries)
-
-
-def _values(f, xs) -> list:
-    """f at all of xs: from its ``values`` entry (a bound tape's), or,
-    where f has none or that fails, from one call per point in order, so
-    that the first failure raises its `IntegrandError`."""
-    values = getattr(f, "values", None)
-    if values is not None:
-        try:
-            return values(xs)
-        except (ArithmeticError, ValueError):
-            pass
-    return [call_integrand(f, x) for x in xs]
 
 
 def _window_tuples(a: float, b: float, m: int, count: int) -> list:

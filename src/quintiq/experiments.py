@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .adaptive import GapProbe, _search_doubling
+from .adaptive import N_MAX, GapProbe, _search_doubling
 from .composite import CUBIC_PAIR, QUINTIC_PAIR
 from .expr import as_integrand, parse
 from .rules import Interval
@@ -47,8 +47,8 @@ def _row(label: str, quintic: GapProbe, cubic: GapProbe, eps: Fraction, ctx) -> 
     if 4 * float(eps) < _decidability_floor(float(quintic.pair(1).q_n), ctx):
         return ExperimentRow(label, None, None)
     eps_s = ctx.const(eps)
-    n_quintic, _ = _search_doubling(quintic, 4 * eps_s, 10**6, eps_s)
-    n_cubic, _ = _search_doubling(cubic, 4 * eps_s, 10**6, eps_s)
+    n_quintic, _ = _search_doubling(quintic, 4 * eps_s, N_MAX, eps_s)
+    n_cubic, _ = _search_doubling(cubic, 4 * eps_s, N_MAX, eps_s)
     return ExperimentRow(label, n_quintic, n_cubic)
 
 

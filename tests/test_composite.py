@@ -1,5 +1,6 @@
 import math
 import struct
+import time
 from fractions import Fraction
 
 import mpmath
@@ -502,6 +503,20 @@ def test_a_pole_at_a_partition_point_past_the_first_run_is_raised_there(precisio
     assert got[1:] == (DomainError, "division by zero (at x = 0.75)", _bits(pole), 300)
 
 
+@pytest.mark.parametrize("precision", sorted(_ALL_CONTEXTS))
+@pytest.mark.parametrize("rule_pair", [QUINTIC_PAIR, CUBIC_PAIR], ids=["quintic", "cubic"])
+def test_a_pole_at_a_node_of_a_late_block_is_raised_there(precision, rule_pair):
+    # 299.5 is the midpoint of subinterval 300 of [0, 512] at n = 512, a node
+    # of both pairs, in block 6 of the quintic pass (51 subintervals a block)
+    # and block 4 of the cubic pass (85 a block)
+    ctx = _ALL_CONTEXTS[precision]
+    iv = _dd_interval("0", "512", ctx)
+    got, want = _tape_and_reference_outcomes(parse("1/(x-299.5)"), iv, 512, rule_pair, ctx)
+    assert got == want
+    pole = ctx.const("299.5")
+    assert got[1:] == (DomainError, "division by zero (at x = 299.5)", _bits(pole), 300)
+
+
 def _in(ctx, iv: Interval) -> Interval:
     return Interval(ctx.const(iv.a), ctx.const(iv.b))
 
@@ -782,6 +797,27 @@ class TestMinN:
         assert n > 10**30
         assert apriori_bound(RuleId.GAUSS3, iv, n, m6, ctx) <= eps_s
         assert apriori_bound(RuleId.GAUSS3, iv, n - 1, m6, ctx) > eps_s
+
+    @pytest.mark.parametrize(
+        "iv, eps, ctx",
+        [
+            (Interval(1.0, 2.0), 5e-324, DOUBLE),
+            (Interval(1.0, 2.0), "1e-320", DOUBLE_DOUBLE),
+            (Interval(0.0, 1e50), 1e-8, DOUBLE),
+        ],
+        ids=["subnormal-eps-double", "subnormal-eps-dd", "wide-interval-double"],
+    )
+    def test_an_overflowing_bound_is_a_value_error_naming_the_precision(self, iv, eps, ctx):
+        with pytest.raises(ValueError, match=f"overflows {ctx.name} precision"):
+            min_n_for_bound(RuleId.GAUSS3, iv, 720.0, eps, ctx)
+
+    def test_a_666_digit_n_in_mp_is_found_in_under_a_second(self):
+        ctx, iv, eps = mp_context(40), Interval(1.0, 2.0), "1e-3999"
+        start = time.perf_counter()
+        n = min_n_for_bound(RuleId.GAUSS3, iv, 720.0, eps, ctx)
+        assert time.perf_counter() - start < 1.0
+        bound, before = (apriori_bound(RuleId.GAUSS3, iv, k, 720.0, ctx) for k in (n, n - 1))
+        assert bound <= ctx.const(eps) < before
 
     @pytest.mark.parametrize("m6", [-1, math.inf, math.nan], ids=["negative", "inf", "nan"])
     def test_rejects_a_bad_m6(self, m6):

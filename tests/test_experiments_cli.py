@@ -153,6 +153,20 @@ class TestCliIntegrate:
         )
         assert json.loads(r.stdout)["n_final"] == 4
 
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    def test_integrate_leaves_mpmath_unimported(self, precision):
+        code = (
+            "import sys\n"
+            "from quintiq.cli import main\n"
+            "main(['integrate', '--fn', '1/x', '--a', '1', '--b', '2',"
+            f" '--precision', '{precision}'])\n"
+            "sys.exit('mpmath' in sys.modules and 'mpmath was imported')\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert (r.returncode, r.stderr) == (0, "")
+
     def test_dd_precision_flag_value_digits(self):
         r = run_cli(
             "integrate", "--fn", "1/x", "--a", "1", "--b", "2",
